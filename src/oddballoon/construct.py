@@ -194,8 +194,3 @@ def coloring_candidate(
     cand = extremal_candidate(n, tree, spec, analysis)
     red = frozenset(tuple(sorted(e)) for e in cand.graph.edges())
     return EdgeColoring(n, red)
-
-
-def verify_free(construction: LabeledConstruction, balloon: Graph) -> bool:
-    """Freeness certificate for a built candidate."""
-    return not contains_subgraph(construction.graph, balloon)

@@ -182,8 +182,12 @@ def _independent_subsets(g: Graph) -> list[frozenset[int]]:
 
 def decomposition_family(tree: BipartiteTree, spec: BalloonSpec) -> GraphFamily:
     """The family obtained by splitting an independent set and then peeling
-    leaf-edges whose edge (or its origin) is of type II; deduplicated,
-    isolated vertices stripped, non-minimal members pruned."""
+    leaf-edges whose edge (or its origin) is of type II; deduplicated and
+    isolated vertices stripped.
+
+    Every member has exactly e(T) edges and no isolated vertex, so a member
+    containing another is isomorphic to it: the family is already minimal
+    and needs no `prune_non_minimal` pass."""
     if tree.n > 12 or len(tree.edges) > 8:
         raise CapacityError("decomposition_family caps at 12 vertices / 8 edges")
     tg = tree.graph()
@@ -205,7 +209,7 @@ def decomposition_family(tree: BipartiteTree, spec: BalloonSpec) -> GraphFamily:
     e_t = len(tree.edges)
     for m in fam:
         assert m.edge_count() == e_t, "splitting/peeling must preserve edge count"
-    return fam.prune_non_minimal()
+    return fam
 
 
 def _embedding_host(side: int, m: Graph) -> Graph:

@@ -1,23 +1,69 @@
 """Subgraph containment (not induced) by backtracking over bit rows.
 
-Candidate images are pruned by host degree and by intersecting the
-adjacency rows of already-placed neighbors.  Host vertices that are
-interchangeable (equal open or closed neighborhoods, i.e. twins) are
-tried once per search node; a twin transposition is a host automorphism
-fixing every used vertex, so skipping the siblings is sound.  This is
-what keeps queries against join/Turan-shaped hosts flat.
+Pattern vertices are placed in a connectivity-greedy order.  A search
+node's candidates are the unused host vertices adjacent to the images of
+the pattern vertex's earlier neighbours, of large enough degree, and not
+excluded by an earlier refutation (below); all of it is bitmask algebra.
+
+Two symmetries cut the search, and both rest on one invariant: when a
+subtree fails, no embedding at all extends its partial assignment.
+
+- **Host twins.**  Vertices with equal open or equal closed
+  neighbourhoods are interchangeable: swapping two of them is a host
+  automorphism, and it fixes every used vertex when both are unused.  So
+  once a candidate w has been tried, its whole twin class leaves the
+  node's candidate mask, and a node steps through twin classes, not
+  vertices.  This keeps queries against join/Turan-shaped hosts flat.
+- **Orbit refutation.**  Say the subtree p -> w at depth d fails, and an
+  automorphism s of the pattern fixes order[:d] pointwise.  An embedding
+  f of the same prefix with f(s(p)) a twin w' of w would give the
+  embedding t.f.s, with t the transposition (w w'), which maps p to w and
+  still extends the prefix - a contradiction.  So for every q in the orbit
+  of p under the pointwise stabiliser of order[:d], twins[w] is excluded
+  for q in the later sibling branches and their subtrees, and restored on
+  return.  An exclusion only removes options no embedding uses, so it
+  keeps the invariant, and refutations at different depths and the twin
+  skipping compose freely.
+
+Orbits are exact: the pattern is searched into itself with the prefix
+fixed (an injective edge-preserving self-map of a finite graph is an
+automorphism).  Equitable refinement only prefilters the candidate
+images, since its cells over-approximate orbits.  A depth's orbit is
+computed on its first refutation, so queries that succeed fast pay
+almost nothing for it.  The same orbits give `embeds_using_vertex` one
+seed per Aut(P) orbit.
+
+Label-order symmetry breaking (Grochow & Kellis: require f(p) < f(q) for
+p, q in one orbit) is not used.  It prunes maps that are not the least of
+their orbit, while twin skipping keeps only the least twin; the two
+choices of representative disagree, and together they can discard every
+embedding.  Nogoods do not choose a representative, so they compose.
 """
 from __future__ import annotations
 
 from functools import lru_cache
 from typing import Sequence
 
-from .graphs import Graph, ParameterError, bit_indices, iter_bits
+from .canon import _refine
+from .graphs import Graph, ParameterError, iter_bits
 
 
 @lru_cache(maxsize=1024)
 def _host_degrees(host: Graph) -> tuple[int, ...]:
     return tuple(row.bit_count() for row in host.rows)
+
+
+@lru_cache(maxsize=1024)
+def _host_twins(host: Graph) -> tuple[int, ...]:
+    """For each host vertex, the mask of its open twins and its closed twins
+    (itself included); a vertex never has both kinds."""
+    open_cls: dict[int, int] = {}
+    closed_cls: dict[int, int] = {}
+    for v, row in enumerate(host.rows):
+        b = 1 << v
+        open_cls[row] = open_cls.get(row, 0) | b
+        closed_cls[row | b] = closed_cls.get(row | b, 0) | b
+    return tuple(open_cls[row] | closed_cls[row | 1 << v] for v, row in enumerate(host.rows))
 
 
 def _degree_mask(host: Graph, d: int) -> int:
@@ -50,62 +96,140 @@ def _pattern_order(pattern: Graph, core: list[int], seed: Sequence[int] = ()) ->
     return chosen
 
 
-def _search(
-    host: Graph,
-    pattern: Graph,
-    order: list[int],
-    assign: dict[int, int],
-    used: int,
-) -> bool:
-    degmasks: dict[int, int] = {}
-    pat_rows = pattern.rows
+class _Plan:
+    """How to search one pattern from one seed: the order (seed first), the
+    earlier neighbours of each position, the host degree each position
+    needs (0 where its earlier neighbours already force it), and, filled in
+    on first use, the orbit of each position under the pointwise stabiliser
+    of the positions before it (a mask without the vertex itself)."""
+
+    __slots__ = ("pattern", "order", "start", "prev", "degs", "orbits")
+
+    def __init__(self, pattern: Graph, seed: tuple[int, ...]):
+        core = [v for v in range(pattern.n) if pattern.rows[v]]
+        order = _pattern_order(pattern, core, seed)
+        rows = pattern.rows
+        self.pattern = pattern
+        self.order = tuple(order)
+        self.start = len(seed)
+        self.prev = tuple(tuple(q for q in order[:i] if rows[p] >> q & 1) for i, p in enumerate(order))
+        self.degs = tuple(
+            d if d > len(before) else 0 for d, before in zip((rows[p].bit_count() for p in order), self.prev)
+        )
+        self.orbits: list[int | None] = [None] * len(order)
+
+    def orbit(self, d: int) -> int:
+        orb = self.orbits[d]
+        if orb is None:
+            orb = self.orbits[d] = _stabiliser_orbit(self.pattern, self.order[:d], self.order[d])
+        return orb
+
+
+@lru_cache(maxsize=4096)
+def _plan(pattern: Graph, seed: tuple[int, ...]) -> _Plan:
+    return _Plan(pattern, seed)
+
+
+def _stabiliser_orbit(pattern: Graph, fixed: tuple[int, ...], p: int) -> int:
+    """Mask of the vertices q != p that some automorphism fixing `fixed`
+    pointwise sends p to."""
+    rows = pattern.rows
+    by_degree: dict[int, int] = {}
+    fixed_mask = 0
+    for v in fixed:
+        fixed_mask |= 1 << v
+    for v, row in enumerate(rows):
+        if not fixed_mask >> v & 1:
+            d = row.bit_count()
+            by_degree[d] = by_degree.get(d, 0) | 1 << v
+    cells = [1 << v for v in fixed] + [mask for _, mask in sorted(by_degree.items())]
+    cell = next(c for c in _refine(rows, cells) if c >> p & 1)
+    plan = _plan(pattern, fixed + (p,))
+    img = [0] * pattern.n
+    for v in fixed:
+        img[v] = v
+    orb = 0
+    for q in iter_bits(cell & ~(1 << p)):
+        img[p] = q
+        # a plain search: refuting here would need the orbits of longer
+        # prefixes in turn
+        if _search(pattern, plan, img, fixed_mask | 1 << q, refute=False):
+            orb |= 1 << q
+    return orb
+
+
+@lru_cache(maxsize=1024)
+def _seed_reps(pattern: Graph) -> tuple[int, ...]:
+    """The least core vertex of each orbit of Aut(pattern) on its core."""
+    reps = []
+    covered = 0
+    for p in range(pattern.n):
+        if pattern.rows[p] and not covered >> p & 1:
+            reps.append(p)
+            covered |= _stabiliser_orbit(pattern, (), p)
+    return tuple(reps)
+
+
+def _search(host: Graph, plan: _Plan, img: list[int], used: int, refute: bool = True) -> bool:
+    """Extend the seeded images img[order[:start]] (their host vertices are
+    `used`) to an embedding; True iff one exists."""
+    order = plan.order
+    prev = plan.prev
     host_rows = host.rows
-    full = host.vertices_mask()
-
-    prev_neighbors: list[list[int]] = []
-    for i, p in enumerate(order):
-        prev_neighbors.append([q for q in order[:i] if pat_rows[p] >> q & 1])
-
-    start = len(assign)
-
-    def rec(pos: int, used: int) -> bool:
-        if pos == len(order):
-            return True
-        p = order[pos]
-        cand = full & ~used
-        for q in prev_neighbors[pos]:
-            cand &= host_rows[assign[q]]
-        d = pat_rows[p].bit_count()
-        dm = degmasks.get(d)
-        if dm is None:
-            dm = _degree_mask(host, d)
-            degmasks[d] = dm
-        cand &= dm
-        seen_open: set[int] = set()
-        seen_closed: set[int] = set()
-        m = cand
-        while m:
-            b = m & -m
-            m ^= b
-            w = b.bit_length() - 1
-            rk = host_rows[w]
-            ck = rk | b
-            if rk in seen_open or ck in seen_closed:
-                continue
-            seen_open.add(rk)
-            seen_closed.add(ck)
-            assign[p] = w
-            if rec(pos + 1, used | b):
-                return True
-            del assign[p]
-        return False
-
+    start = plan.start
     # seeded assignments occupy order[:start]; verify their adjacency holds
     for i in range(start):
-        p = order[i]
-        for q in prev_neighbors[i]:
-            if not host_rows[assign[q]] >> assign[p] & 1:
+        w = img[order[i]]
+        for q in prev[i]:
+            if not host_rows[img[q]] >> w & 1:
                 return False
+    last = len(order) - 1
+    if start > last:
+        return True
+    by_degree = {0: host.vertices_mask()}
+    degmask = [0] * start
+    for d in plan.degs[start:]:
+        dm = by_degree.get(d)
+        if dm is None:
+            dm = by_degree[d] = _degree_mask(host, d)
+        degmask.append(dm)
+    excl = [0] * plan.pattern.n
+    orbits = plan.orbits
+    twins: tuple[int, ...] = ()  # fetched on the first failure
+
+    def rec(pos: int, used: int) -> bool:
+        nonlocal twins
+        p = order[pos]
+        m = degmask[pos] & ~used & ~excl[p]
+        for q in prev[pos]:
+            m &= host_rows[img[q]]
+        if pos == last:
+            return m != 0
+        saved = None
+        while m:
+            b = m & -m
+            w = b.bit_length() - 1
+            img[p] = w
+            if rec(pos + 1, used | b):
+                return True
+            if not twins:
+                twins = _host_twins(host)
+            tw = twins[w]
+            m &= ~tw
+            if refute and m:
+                orb = orbits[pos]
+                if orb is None:
+                    orb = plan.orbit(pos)
+                if orb:
+                    if saved is None:
+                        saved = [(q, excl[q]) for q in iter_bits(orb)]
+                    for q in iter_bits(orb):
+                        excl[q] |= tw
+        if saved is not None:
+            for q, e in saved:
+                excl[q] = e
+        return False
+
     return rec(start, used)
 
 
@@ -121,24 +245,22 @@ def contains_subgraph(
     """
     if pattern.n > host.n or pattern.edge_count() > host.edge_count():
         return False
-    core = [v for v in range(pattern.n) if pattern.rows[v]]
+    img = [0] * pattern.n
     if anchor is None:
-        if not core:
+        if not any(pattern.rows):
             return True  # only isolated vertices; size check above suffices
-        order = _pattern_order(pattern, core)
-        return _search(host, pattern, order, {}, 0)
+        return _search(host, _plan(pattern, ()), img, 0)
 
     u, v = anchor
     if not host.has_edge(u, v):
         raise ParameterError(f"anchor ({u},{v}) is not a host edge")
-    if not core:
-        return False
     for p, q in pattern.edges():
-        order = _pattern_order(pattern, core, seed=[p, q])
+        plan = _plan(pattern, (p, q))
         for hu, hv in ((u, v), (v, u)):
             if host.degree(hu) < pattern.degree(p) or host.degree(hv) < pattern.degree(q):
                 continue
-            if _search(host, pattern, order, {p: hu, q: hv}, (1 << hu) | (1 << hv)):
+            img[p], img[q] = hu, hv
+            if _search(host, plan, img, (1 << hu) | (1 << hv)):
                 return True
     return False
 
@@ -147,19 +269,19 @@ def embeds_using_vertex(host: Graph, pattern: Graph, hv: int) -> bool:
     """True iff pattern embeds with hv in the image of its non-isolated part.
 
     Used for incremental freeness checks: when the host grew by one vertex,
-    only copies through it are new.
+    only copies through it are new.  One core vertex per Aut(pattern) orbit
+    is tried at hv: an automorphism carries an embedding seeded at one
+    vertex to one seeded at any other vertex of its orbit.
     """
     if pattern.n > host.n or pattern.edge_count() > host.edge_count():
         return False
-    core = [v for v in range(pattern.n) if pattern.rows[v]]
-    if not core:
-        return False
     hd = host.degree(hv)
-    for p in core:
+    img = [0] * pattern.n
+    for p in _seed_reps(pattern):
         if pattern.degree(p) > hd:
             continue
-        order = _pattern_order(pattern, core, seed=[p])
-        if _search(host, pattern, order, {p: hv}, 1 << hv):
+        img[p] = hv
+        if _search(host, _plan(pattern, (p,)), img, 1 << hv):
             return True
     return False
 
@@ -176,4 +298,3 @@ def creates_copy_with_vertex(cand: Graph, pattern: Graph, z: int) -> bool:
     if embeds_using_vertex(cand, pattern, z):
         return True
     return cand.n == pattern.n and contains_subgraph(cand, pattern)
-

@@ -237,11 +237,6 @@ def union_all(graphs: Iterable[Graph]) -> Graph:
     return out
 
 
-def complement(g: Graph) -> Graph:
-    full = (1 << g.n) - 1
-    return _fast_graph(g.n, tuple((full ^ row) & ~(1 << v) for v, row in enumerate(g.rows)))
-
-
 def induced(g: Graph, mask: int) -> Graph:
     """Induced subgraph on the vertex bitmask, relabelled to 0..k-1."""
     verts = bit_indices(mask)
@@ -314,10 +309,6 @@ def connected_components(g: Graph) -> list[int]:
         comps.append(comp)
         seen |= comp
     return comps
-
-
-def is_connected(g: Graph) -> bool:
-    return len(connected_components(g)) <= 1
 
 
 def bipartition_sides(g: Graph) -> tuple[int, int] | None:

@@ -193,3 +193,27 @@ def test_family_matches_oracle_with_longer_cycles():
     for text in cases:
         tree, spec = parse_spec(text)
         assert decomposition_family(tree, spec).iso_equal(decomposition_oracle(tree, spec))
+
+
+def test_family_needs_no_pruning():
+    # members all have e(T) edges and no isolated vertex, so containment
+    # between two of them means isomorphism and the prune drops nothing
+    from itertools import product
+    from pathlib import Path
+
+    from oddballoon.audits import _tree_from_graph
+    from oddballoon.balloon import BalloonSpec, load_spec
+    from oddballoon.generate import trees_up_to
+
+    cases = []
+    for level in trees_up_to(5)[2:]:
+        for tg in level:
+            tree = _tree_from_graph(tg)
+            for combo in product((3, 5), repeat=len(tree.edges)):
+                cases.append((tree, BalloonSpec(tuple(zip(tree.edges, combo)))))
+    specs = sorted((Path(__file__).resolve().parent.parent / "specs").glob("*.spec"))
+    assert specs
+    cases += [load_spec(p) for p in specs]
+    for tree, spec in cases:
+        fam = decomposition_family(tree, spec)
+        assert fam.keys() == fam.prune_non_minimal().keys(), (tree.edges, spec.lengths)

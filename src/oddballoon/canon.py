@@ -1,11 +1,50 @@
-"""Canonical keys and isomorphism tests.
+"""Canonical keys, canonical forms and automorphism generators.
 
 Two routes share the key space via a leading tag byte: forests get a
 center-rooted subtree code (linear time, exact), everything else goes
-through partition refinement with individualization and takes the
-lexicographically least adjacency bit-matrix over the refined orderings.
-A forest is never isomorphic to a graph with a cycle, so the tag keeps
-the equal-iff-isomorphic contract across both routes.
+through individualization-refinement (McKay & Piperno, *Practical graph
+isomorphism II*, J. Symb. Comput. 60, 2014).  A forest is never
+isomorphic to a graph with a cycle, so the tag keeps the
+equal-iff-isomorphic contract across both routes.
+
+The search tree.  A node is an ordered partition of the vertices: the
+degree partition after individualizing a sequence of vertices (the
+node's prefix), each step followed by equitable refinement.  Refinement
+is driven by a queue of splitter cells: a cell that splits re-enters the
+queue as all its fragments if it was queued, else as all but one largest
+fragment, so only changed cells are used again; a single-vertex splitter
+splits each cell by one mask AND; and it stops once the partition is
+discrete.  Every choice depends on cell positions and neighbour counts,
+never on labels, so refinement commutes with relabelling.  A node's
+children individualize the vertices of its first non-singleton cell; a
+leaf is a discrete partition, read as a vertex order.  The key is the
+least relabelled adjacency over all leaves.  The tree of a relabelled
+graph is the relabelled tree, so the key is an invariant; and it is the
+adjacency of a relabelled copy, so equal keys mean isomorphic.
+
+Pruning keeps the least leaf.  An automorphism g that fixes a node's
+prefix pointwise maps the node's partition to itself and the subtree of
+child v onto the subtree of child g(v), each leaf to a leaf with the same
+relabelled adjacency.  So a node visits one child per orbit of any group
+of such automorphisms.  Two sources supply them:
+
+- Twins (equal open or equal closed neighbourhoods): transposing two
+  twins is an automorphism, and it fixes the prefix when neither is
+  individualized.  So the target cell is walked one twin class at a time.
+- Equal leaves: two leaves with equal relabelled adjacency give the
+  automorphism that maps one vertex order onto the other.  It fixes the
+  prefix of their deepest common ancestor pointwise (individualized
+  vertices keep their positions under refinement) and maps the child
+  towards the earlier leaf to the child towards the later one.  The
+  earlier child's subtree is finished, so the search returns to the
+  common ancestor at once.  Each leaf is compared with the first leaf
+  and with the best leaf so far, as nauty does.
+
+At each node the orbits come from the twin transpositions inside the
+target cell and the found automorphisms that fix the node's prefix
+pointwise.  The search returns the automorphisms it found; with the twin
+transpositions they generate a subgroup of Aut(G), which is what
+`generate` needs to grow one child per orbit.
 """
 from __future__ import annotations
 
@@ -14,6 +53,7 @@ from functools import lru_cache
 from .graphs import (
     CapacityError,
     Graph,
+    _fast_graph,
     bit_indices,
     connected_components,
     induced,
@@ -23,6 +63,8 @@ from .graphs import (
 )
 
 CANON_VERTEX_CAP = 16
+
+Perm = tuple[int, ...]  # perm[v] is the image of vertex v
 
 
 def _tree_centers(rows: list[int], comp: list[int]) -> list[int]:
@@ -71,101 +113,181 @@ def _forest_key(g: Graph) -> bytes:
     return b"T" + g.n.to_bytes(2, "big") + b"|".join(codes)
 
 
-def _pack_bits(bits: list[int]) -> bytes:
-    out = bytearray()
-    acc = 0
-    k = 0
-    for b in bits:
-        acc = (acc << 1) | b
-        k += 1
-        if k == 8:
-            out.append(acc)
-            acc = 0
-            k = 0
-    if k:
-        out.append(acc << (8 - k))
-    return bytes(out)
+def _twin_masks(rows: tuple[int, ...]) -> tuple[int, ...]:
+    """For each vertex, the mask of its open twins and its closed twins
+    (itself included); a vertex never has both kinds."""
+    cls: dict[int, int] = {}  # open neighbourhood, or ~closed neighbourhood
+    for v, row in enumerate(rows):
+        b = 1 << v
+        cls[row] = cls.get(row, 0) | b
+        cls[~(row | b)] = cls.get(~(row | b), 0) | b
+    return tuple(cls[row] | cls[~(row | 1 << v)] for v, row in enumerate(rows))
 
 
-def _matrix_key(g: Graph, order: list[int]) -> bytes:
-    pos = [0] * g.n
-    for i, v in enumerate(order):
-        pos[v] = i
-    bits = []
-    for i in range(g.n):
-        row = g.rows[order[i]]
-        for j in range(i + 1, g.n):
-            bits.append(row >> order[j] & 1)
-    return _pack_bits(bits)
+def _twin_transpositions(twins: tuple[int, ...]) -> list[Perm]:
+    """Transpositions that generate the symmetric group of every twin class."""
+    n = len(twins)
+    out = []
+    done = 0
+    for v, cls in enumerate(twins):
+        if done >> v & 1:
+            continue
+        done |= cls
+        for w in iter_bits(cls ^ 1 << v):
+            perm = list(range(n))
+            perm[v], perm[w] = w, v
+            out.append(tuple(perm))
+    return out
 
 
-def _refine(rows: tuple[int, ...], cells: list[int]) -> list[int]:
-    """Equitable refinement: split cells by neighbor counts into each cell,
-    fragments ordered by count.  Deterministic and isomorphism-equivariant."""
-    changed = True
-    while changed:
-        changed = False
-        for splitter in list(cells):
-            new_cells: list[int] = []
-            for cell in cells:
-                if cell & (cell - 1) == 0:  # singleton
-                    new_cells.append(cell)
-                    continue
+def _requeue(queue: list[int], cell: int, frags: list[int]) -> None:
+    if cell in queue:
+        i = queue.index(cell)
+        queue[i : i + 1] = frags
+        return
+    skip = 0
+    for i in range(1, len(frags)):
+        if frags[i].bit_count() > frags[skip].bit_count():
+            skip = i
+    queue.extend(frags[:skip] + frags[skip + 1 :])
+
+
+def _refine(rows: tuple[int, ...], cells: list[int], queue: list[int] | None = None) -> list[int]:
+    """Equitable refinement of the ordered partition `cells` of range(len(rows)),
+    done in place; returns `cells`.
+
+    Splitters come from `queue` (default: every cell); the partition must
+    already be equitable with respect to every cell not in it.  A split
+    cell is replaced in place by its fragments, ordered by their neighbour
+    count into the splitter.  Deterministic and isomorphism-equivariant.
+    """
+    queue = list(cells) if queue is None else queue
+    n = len(rows)
+    while queue and len(cells) < n:
+        s = queue.pop(0)
+        i = 0
+        if s & (s - 1) == 0:
+            nb = rows[s.bit_length() - 1]
+            while i < len(cells):
+                c = cells[i]
+                hit = c & nb
+                if hit and hit != c:
+                    frags = [c ^ hit, hit]
+                    cells[i : i + 1] = frags
+                    _requeue(queue, c, frags)
+                    i += 1
+                i += 1
+            continue
+        while i < len(cells):
+            c = cells[i]
+            if c & (c - 1):
                 buckets: dict[int, int] = {}
-                m = cell
+                m = c
                 while m:
                     b = m & -m
                     m ^= b
-                    cnt = (rows[b.bit_length() - 1] & splitter).bit_count()
-                    buckets[cnt] = buckets.get(cnt, 0) | b
-                if len(buckets) == 1:
-                    new_cells.append(cell)
-                else:
-                    new_cells.extend(mask for _, mask in sorted(buckets.items()))
-                    changed = True
-            cells = new_cells
-            if changed:
-                break
+                    k = (rows[b.bit_length() - 1] & s).bit_count()
+                    buckets[k] = buckets.get(k, 0) | b
+                if len(buckets) > 1:
+                    frags = [buckets[k] for k in sorted(buckets)]
+                    cells[i : i + 1] = frags
+                    _requeue(queue, c, frags)
+                    i += len(frags) - 1
+            i += 1
     return cells
 
 
-def _ir_search(g: Graph) -> tuple[bytes, list[int]]:
-    """Minimum adjacency-matrix key over refined orderings, with the order."""
+_NO_JUMP = 1 << 30
+
+
+def _ir_search(g: Graph) -> tuple[tuple[int, ...], list[Perm], tuple[int, ...]]:
+    """The least relabelled adjacency over the leaves (the rows of the
+    canonical copy), the automorphisms found at leaves, and the twin masks
+    (empty when the refined degree partition is discrete, as then no vertex
+    has a twin)."""
     n = g.n
-    if n == 0:
-        return b"", []
-    degs: dict[int, int] = {}
-    for v in range(n):
-        d = g.rows[v].bit_count()
-        degs[d] = degs.get(d, 0) | (1 << v)
-    cells = [mask for _, mask in sorted(degs.items())]
-    best: list[tuple[bytes, list[int]] | None] = [None]
+    rows = g.rows
+    nbrs = [bit_indices(row) for row in rows]
+    twins: tuple[int, ...] = ()
+    found: list[Perm] = []
+    path: list[int] = []
+    first: tuple[tuple[int, ...], list[int], tuple[int, ...]] | None = None
+    best = first
 
-    def descend(cells: list[int]) -> None:
-        cells = _refine(g.rows, cells)
-        target = -1
-        for i, cell in enumerate(cells):
-            if cell.bit_count() > 1:
-                target = i
+    def leaf(cells: list[int]) -> int:
+        """Record a leaf; return the depth to jump back to."""
+        nonlocal first, best
+        order = [c.bit_length() - 1 for c in cells]
+        bit = [0] * n
+        for i, v in enumerate(order):
+            bit[v] = 1 << i
+        key = tuple([sum(map(bit.__getitem__, nbrs[v])) for v in order])
+        if first is None or best is None:
+            first = best = (key, order, tuple(path))
+            return _NO_JUMP
+        for ref_key, ref_order, ref_path in (first, best):
+            if key == ref_key:
+                perm = [0] * n
+                for a, b in zip(ref_order, order):
+                    perm[a] = b
+                found.append(tuple(perm))
+                depth = 0
+                while ref_path[depth] == path[depth]:
+                    depth += 1
+                return depth
+        if key < best[0]:
+            best = (key, order, tuple(path))
+        return _NO_JUMP
+
+    def descend(cells: list[int]) -> int:
+        """Visit the subtree of a node; return the depth to jump back to."""
+        nonlocal twins
+        for t, cell in enumerate(cells):
+            if cell & (cell - 1):
                 break
-        if target == -1:
-            order = [cell.bit_length() - 1 for cell in cells]
-            key = _matrix_key(g, order)
-            if best[0] is None or key < best[0][0]:
-                best[0] = (key, order)
-            return
-        cell = cells[target]
-        for v in bit_indices(cell):
-            descend(cells[:target] + [1 << v, cell ^ (1 << v)] + cells[target + 1 :])
+        else:
+            return leaf(cells)
+        if not twins:
+            twins = _twin_masks(rows)
+        depth = len(path)
+        head, tail = cells[:t], cells[t + 1 :]
+        explored = done = 0
+        perms: list[Perm] = []
+        seen_found = 0
+        while True:
+            rest = cell & ~done
+            if not rest:
+                return _NO_JUMP
+            b = rest & -rest
+            path.append(b.bit_length() - 1)
+            back = descend(_refine(rows, head + [b, cell ^ b] + tail, [b]))
+            path.pop()
+            if back < depth:
+                return back
+            explored |= b
+            if len(found) > seen_found:
+                perms += [p for p in found[seen_found:] if all(p[x] == x for x in path)]
+                seen_found = len(found)
+            # close the explored vertices under twins and prefix-fixing perms
+            done = 0
+            stack = bit_indices(explored)
+            while stack:
+                x = stack.pop()
+                if done >> x & 1:
+                    continue
+                done |= twins[x] & cell
+                for p in perms:
+                    if not done >> p[x] & 1:
+                        stack.append(p[x])
 
-    descend(cells)
-    assert best[0] is not None
-    return best[0]
+    if n:
+        descend(_refine(rows, [(1 << n) - 1]))
+    return (best[0] if best else ()), found, twins
 
 
-def _ir_key(g: Graph) -> bytes:
-    key, _ = _ir_search(g)
-    return b"G" + g.n.to_bytes(2, "big") + key
+def _ir_key(n: int, lab: tuple[int, ...]) -> bytes:
+    width = (n + 7) // 8
+    return b"G" + n.to_bytes(2, "big") + b"".join(r.to_bytes(width, "big") for r in lab)
 
 
 @lru_cache(maxsize=1 << 18)
@@ -176,7 +298,7 @@ def canonical_key_any(g: Graph) -> bytes:
     """
     if is_forest(g):
         return _forest_key(g)
-    return _ir_key(g)
+    return _ir_key(g.n, _ir_search(g)[0])
 
 
 def canonical_key(g: Graph) -> bytes:
@@ -184,6 +306,18 @@ def canonical_key(g: Graph) -> bytes:
     if g.n > CANON_VERTEX_CAP:
         raise CapacityError(f"canonical_key supports n <= {CANON_VERTEX_CAP}")
     return canonical_key_any(g)
+
+
+def canonical_key_and_generators(g: Graph) -> tuple[bytes, tuple[Perm, ...]]:
+    """canonical_key(g) and automorphisms of g from the same search: the
+    ones it found plus the twin transpositions (forests get only the
+    latter).  They generate a subgroup of Aut(g), not always all of it."""
+    if g.n > CANON_VERTEX_CAP:
+        raise CapacityError(f"canonical_key supports n <= {CANON_VERTEX_CAP}")
+    if is_forest(g):
+        return _forest_key(g), tuple(_twin_transpositions(_twin_masks(g.rows)))
+    lab, found, twins = _ir_search(g)
+    return _ir_key(g.n, lab), (*found, *_twin_transpositions(twins))
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
@@ -260,5 +394,4 @@ def canonical_form(g: Graph) -> Graph:
         return out
     if is_forest(g):
         return relabel(g, _forest_order(g))
-    _, order = _ir_search(g)
-    return relabel(g, order)
+    return _fast_graph(g.n, _ir_search(g)[0])

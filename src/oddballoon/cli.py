@@ -221,7 +221,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="brute-force ground-truth computations")
     osub = p.add_subparsers(dest="oracle_command", required=True)
 
-    pe = osub.add_parser("ex", help="exact Turan numbers on small n")
+    pe = osub.add_parser(
+        "ex",
+        help="exact Turan numbers on small n",
+        description="Prints JSON: value, witness_graph6, nodes_explored (candidates "
+        "generated, one per Aut(parent) orbit of neighbour sets) and elapsed_ms.",
+    )
     pe.add_argument("-n", type=int)
     pe.add_argument("--forbid", nargs="+", help="graph6 strings of the forbidden family")
     pe.add_argument("--nu", type=int, help="bounded matching/degree variant")

@@ -44,7 +44,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Sequence
 
-from .canon import _refine
+from .canon import _refine, _twin_masks
 from .graphs import Graph, ParameterError, iter_bits
 
 
@@ -55,15 +55,8 @@ def _host_degrees(host: Graph) -> tuple[int, ...]:
 
 @lru_cache(maxsize=1024)
 def _host_twins(host: Graph) -> tuple[int, ...]:
-    """For each host vertex, the mask of its open twins and its closed twins
-    (itself included); a vertex never has both kinds."""
-    open_cls: dict[int, int] = {}
-    closed_cls: dict[int, int] = {}
-    for v, row in enumerate(host.rows):
-        b = 1 << v
-        open_cls[row] = open_cls.get(row, 0) | b
-        closed_cls[row | b] = closed_cls.get(row | b, 0) | b
-    return tuple(open_cls[row] | closed_cls[row | 1 << v] for v, row in enumerate(host.rows))
+    """For each host vertex, the mask of its twin class (itself included)."""
+    return _twin_masks(host.rows)
 
 
 def _degree_mask(host: Graph, d: int) -> int:
@@ -275,6 +268,10 @@ def embeds_using_vertex(host: Graph, pattern: Graph, hv: int) -> bool:
     """
     if pattern.n > host.n or pattern.edge_count() > host.edge_count():
         return False
+    return _embeds_at(host, pattern, hv)
+
+
+def _embeds_at(host: Graph, pattern: Graph, hv: int) -> bool:
     hd = host.degree(hv)
     img = [0] * pattern.n
     for p in _seed_reps(pattern):
@@ -295,6 +292,6 @@ def creates_copy_with_vertex(cand: Graph, pattern: Graph, z: int) -> bool:
     """
     if pattern.n > cand.n or pattern.edge_count() > cand.edge_count():
         return False
-    if embeds_using_vertex(cand, pattern, z):
+    if _embeds_at(cand, pattern, z):
         return True
-    return cand.n == pattern.n and contains_subgraph(cand, pattern)
+    return cand.n == pattern.n and _search(cand, _plan(pattern, ()), [0] * pattern.n, 0)

@@ -4,9 +4,15 @@ from __future__ import annotations
 import heapq
 import random
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Sequence
 
-from .canon import canonical_key, canonical_key_any, component_key
+from .canon import (
+    Perm,
+    canonical_key,
+    canonical_key_and_generators,
+    canonical_key_any,
+    component_key,
+)
 from .embed import creates_copy_with_vertex
 from .graphs import (
     Graph,
@@ -17,6 +23,7 @@ from .graphs import (
 )
 
 Predicate = Callable[[Graph], bool]
+Level = dict[bytes, tuple[Graph, tuple[Perm, ...]]]  # key -> (class, generators)
 
 
 def graph_levels(
@@ -29,25 +36,69 @@ def graph_levels(
     levels[v] holds the v-vertex classes; freeness is hereditary, so pruning
     a candidate prunes all its extensions.
     """
-    members = [g for g in forbidden]
-    if any(m.n == 0 for m in members):
+    if any(m.n == 0 for m in forbidden):
         raise ValueError("a forbidden member with no vertices excludes every graph")
-    levels: list[list[Graph]] = [[empty_graph(0)]]
+    levels, _ = _vertex_growth(max_n, forbidden)
+    return [[g for g, _ in level.values()] for level in levels]
+
+
+def _vertex_growth(max_n: int, members: Sequence[Graph]) -> tuple[list[Level], int]:
+    """levels[v] maps the canonical key of each member-free class on v
+    vertices to its first-found representative and automorphism generators;
+    also returns the number of candidates generated.
+
+    A parent P gets one candidate add_vertex(P, S) per orbit of the group
+    that P's automorphism generators span on the subsets S of its vertices:
+    an automorphism g makes add_vertex(P, S) and add_vertex(P, g(S))
+    isomorphic, and freeness is an isomorphism invariant, so no class is
+    lost.  The least subset of each orbit is the one kept, so the
+    representatives are the ones a scan of every subset would keep.
+    """
+    empty = empty_graph(0)
+    levels: list[Level] = [{canonical_key(empty): (empty, ())}]
+    nodes = 0
     for v in range(max_n):
-        seen: set[bytes] = set()
-        nxt: list[Graph] = []
-        for parent in levels[v]:
-            for subset in range(1 << v):
+        level: Level = {}
+        for parent, gens in levels[v].values():
+            for subset in _subset_orbit_reps(v, gens):
                 cand = add_vertex(parent, subset)
+                nodes += 1
                 if any(creates_copy_with_vertex(cand, m, v) for m in members):
                     continue
-                key = canonical_key(cand)
-                if key in seen:
-                    continue
-                seen.add(key)
-                nxt.append(cand)
-        levels.append(nxt)
-    return levels
+                key, cand_gens = canonical_key_and_generators(cand)
+                if key not in level:
+                    level[key] = (cand, cand_gens)
+        levels.append(level)
+    return levels, nodes
+
+
+def _subset_orbit_reps(n: int, gens: tuple[Perm, ...]) -> list[int] | range:
+    """The least subset of range(n), as a mask, in each orbit of <gens>."""
+    if not gens:
+        return range(1 << n)
+    images = []
+    for perm in gens:
+        img = [0] * (1 << n)
+        for s in range(1, 1 << n):
+            low = s & -s
+            img[s] = img[s ^ low] | 1 << perm[low.bit_length() - 1]
+        images.append(img)
+    seen = bytearray(1 << n)
+    reps = []
+    for s in range(1 << n):
+        if seen[s]:
+            continue
+        reps.append(s)
+        seen[s] = 1
+        stack = [s]
+        while stack:
+            t = stack.pop()
+            for img in images:
+                u = img[t]
+                if not seen[u]:
+                    seen[u] = 1
+                    stack.append(u)
+    return reps
 
 
 def _edge_growth(

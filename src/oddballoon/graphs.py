@@ -339,5 +339,6 @@ def is_bipartite(g: Graph) -> bool:
 
 
 def is_forest(g: Graph) -> bool:
-    return g.edge_count() == g.n - len(connected_components(g))
+    m = g.edge_count()
+    return m < g.n and m == g.n - len(connected_components(g))
 

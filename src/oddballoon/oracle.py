@@ -12,13 +12,13 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .canon import canonical_form, canonical_key, canonical_key_any
-from .embed import contains_subgraph, creates_copy_with_vertex
+from .embed import contains_subgraph
 from .formulas import chvatal_hanson
+from .generate import _vertex_growth
 from .graphs import (
     CapacityError,
     Graph,
     ParameterError,
-    add_vertex,
     bit_indices,
     empty_graph,
     from_edges,
@@ -36,6 +36,10 @@ if TYPE_CHECKING:  # EdgeColoring lives with the constructions; duck-typed here
 
 @dataclass(frozen=True)
 class ExResult:
+    """ex(n, family), an extremal graph in canonical form, the number of
+    candidates generated (one per Aut(parent) orbit of neighbour sets, so
+    isomorphic candidates from one parent count once) and the time taken."""
+
     value: int
     witness: Graph
     nodes_explored: int
@@ -44,7 +48,8 @@ class ExResult:
 
 def ex_exact(n: int, family) -> ExResult:
     """Exact ex(n, family) with a witness, by growing all family-free graphs
-    one vertex at a time up to isomorphism, pruning at every step.
+    one vertex at a time up to isomorphism, pruning at every step (the
+    growth of `generate.graph_levels`).
 
     family: iterable of Graphs (a GraphFamily works).  Isolated vertices in
     a member count toward its size, as subgraph containment requires.
@@ -65,38 +70,14 @@ def ex_exact(n: int, family) -> ExResult:
         )
     members = [m for m in members if m.edge_count() > 0]
     t0 = time.perf_counter()
-    nodes = 0
-    level: list[Graph] = [empty_graph(0)]
-    for v in range(n):
-        seen: set[bytes] = set()
-        nxt: list[Graph] = []
-        for parent in level:
-            for subset in range(1 << v):
-                cand = add_vertex(parent, subset)
-                nodes += 1
-                if any(creates_copy_with_vertex(cand, m, v) for m in members):
-                    continue
-                key = canonical_key(cand)
-                if key in seen:
-                    continue
-                seen.add(key)
-                nxt.append(cand)
-        level = nxt
-    if not level:
+    levels, nodes = _vertex_growth(n, members)
+    last = levels[-1]
+    if not last:
         raise ParameterError(f"no family-free graphs on {n} vertices exist")
-    best_edges = -1
-    best: tuple[bytes, Graph] | None = None
-    for g in level:
-        e = g.edge_count()
-        if e < best_edges:
-            continue
-        key = canonical_key(g)
-        if e > best_edges or (best is not None and key < best[0]):
-            best_edges = e
-            best = (key, g)
-    assert best is not None
+    best_edges = max(g.edge_count() for g, _ in last.values())
+    best_key = min(key for key, (g, _) in last.items() if g.edge_count() == best_edges)
     elapsed = (time.perf_counter() - t0) * 1000.0
-    return ExResult(best_edges, canonical_form(best[1]), nodes, elapsed)
+    return ExResult(best_edges, canonical_form(last[best_key][0]), nodes, elapsed)
 
 
 # -- bounded matching number + maximum degree ----------------------------

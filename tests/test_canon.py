@@ -2,10 +2,18 @@ import random
 
 import pytest
 
-from oddballoon.canon import canonical_form, canonical_key, component_key, is_isomorphic
+from oddballoon.canon import (
+    canonical_form,
+    canonical_key,
+    canonical_key_and_generators,
+    canonical_key_any,
+    component_key,
+    is_isomorphic,
+)
 from oddballoon.generate import graph_levels, random_graph
 from oddballoon.graphs import (
     CapacityError,
+    Graph,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -15,6 +23,7 @@ from oddballoon.graphs import (
     path_graph,
     relabel,
     star_graph,
+    union_all,
 )
 
 
@@ -41,13 +50,19 @@ def test_keys_invariant_under_relabeling():
 
 
 def test_keys_separate_all_small_classes():
+    rng = random.Random(5)
+    levels = graph_levels(7)
+    assert [len(level) for level in levels] == [1, 1, 2, 4, 11, 34, 156, 1044]
     seen = set()
-    for level in graph_levels(6):
+    for level in levels:
         for g in level:
             key = canonical_key(g)
             assert key not in seen
             seen.add(key)
-    assert len(seen) == 1 + 1 + 2 + 4 + 11 + 34 + 156
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            assert canonical_key(relabel(g, perm)) == key
+    assert len(seen) == 1253
 
 
 def test_isolated_vertices_matter():
@@ -102,3 +117,151 @@ def test_forest_vs_cyclic_keys_never_collide():
             from oddballoon.graphs import is_forest
 
             assert key.startswith(b"T") == is_forest(g)
+
+
+def _rook_4x4() -> Graph:
+    cells = [(i, j) for i in range(4) for j in range(4)]
+    return from_edges(16, [(a, b) for a, (i, j) in enumerate(cells) for b, (k, m) in enumerate(cells)
+                           if a < b and (i == k or j == m)])
+
+
+def _shrikhande() -> Graph:
+    steps = {(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)}
+    cells = [(i, j) for i in range(4) for j in range(4)]
+    return from_edges(16, [(a, b) for a, (i, j) in enumerate(cells) for b, (k, m) in enumerate(cells)
+                           if a < b and ((k - i) % 4, (m - j) % 4) in steps])
+
+
+def test_keys_match_networkx_on_random_pairs():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(11)
+
+    def to_nx(g):
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges())
+        return h
+
+    same = 0
+    for _ in range(400):
+        n = rng.randint(1, 10)
+        p = rng.uniform(0.1, 0.9)
+        g = random_graph(rng, n, p)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        h = relabel(g, perm)
+        kind = rng.randrange(3)
+        if kind == 1:  # a 2-switch keeps the degree sequence
+            edges = h.edges()
+            if len(edges) >= 2:
+                (a, b), (c, d) = rng.sample(edges, 2)
+                if len({a, b, c, d}) == 4 and not h.has_edge(a, d) and not h.has_edge(b, c):
+                    rest = [e for e in edges if e not in ((a, b), (c, d))]
+                    h = from_edges(n, rest + [(a, d), (b, c)])
+        elif kind == 2:
+            h = random_graph(rng, n, p)
+        iso = nx.is_isomorphic(to_nx(g), to_nx(h))
+        assert (canonical_key(g) == canonical_key(h)) == iso
+        assert (canonical_form(g) == canonical_form(h)) == iso
+        same += iso
+    assert 100 < same < 400
+
+
+def _circulant(n: int, steps: list[int]) -> Graph:
+    return from_edges(n, {tuple(sorted((i, (i + d) % n))) for i in range(n) for d in steps})
+
+
+def test_circulants_against_networkx():
+    # vertex-transitive graphs: every search goes through automorphism pruning
+    nx = pytest.importorskip("networkx")
+    from itertools import combinations
+
+    iso_pairs = 0
+    for n in (9, 10, 11):
+        graphs = [_circulant(n, [d for d in range(1, n // 2 + 1) if mask >> (d - 1) & 1])
+                  for mask in range(1, 1 << (n // 2))]
+        for g, h in combinations(graphs, 2):
+            if g.edge_count() == h.edge_count():
+                iso = nx.is_isomorphic(nx.Graph(g.edges()), nx.Graph(h.edges()))
+                assert (canonical_key(g) == canonical_key(h)) == iso
+                iso_pairs += iso
+    assert iso_pairs > 50
+    rng = random.Random(9)
+    for mask in range(1, 1 << 8):
+        g = _circulant(16, [d for d in range(1, 9) if mask >> (d - 1) & 1])
+        perm = list(range(16))
+        rng.shuffle(perm)
+        assert canonical_key(relabel(g, perm)) == canonical_key(g)
+
+
+def test_strongly_regular_pair():
+    # both SRG(16, 6, 2, 2): refinement alone cannot tell them apart
+    rook, shrikhande = _rook_4x4(), _shrikhande()
+    assert sorted(rook.degrees()) == sorted(shrikhande.degrees()) == [6] * 16
+    assert canonical_key(rook) != canonical_key(shrikhande)
+    rng = random.Random(3)
+    for g in (rook, shrikhande):
+        for _ in range(5):
+            perm = list(range(16))
+            rng.shuffle(perm)
+            h = relabel(g, perm)
+            assert canonical_key(h) == canonical_key(g)
+            assert canonical_form(h) == canonical_form(g)
+
+
+def test_symmetric_graphs_within_budget():
+    # the target is under 10 ms each; the bound leaves room for a slow machine
+    import time
+
+    k4 = complete_graph(4)
+    for g in (complete_bipartite(8, 8), complete_graph(16), complete_bipartite(6, 6),
+              union_all([k4] * 3), union_all([k4] * 4), _rook_4x4(), _shrikhande()):
+        canonical_key_any.cache_clear()
+        t0 = time.perf_counter()
+        canonical_key(g)
+        assert time.perf_counter() - t0 < 0.1
+
+
+def _is_automorphism(g: Graph, perm) -> bool:
+    return all(
+        sum(1 << perm[u] for u in range(g.n) if g.rows[v] >> u & 1) == g.rows[perm[v]]
+        for v in range(g.n)
+    )
+
+
+def _orbits(n: int, perms) -> list[int]:
+    """Orbit of each vertex under <perms>, as masks."""
+    orb = [1 << v for v in range(n)]
+    changed = True
+    while changed:
+        changed = False
+        for v in range(n):
+            grown = orb[v]
+            for u in range(n):
+                if orb[v] >> u & 1:
+                    grown |= orb[u]
+                    for p in perms:
+                        grown |= 1 << p[u]
+            if grown != orb[v]:
+                orb[v], changed = grown, True
+    return orb
+
+
+def test_generators_are_automorphisms():
+    from itertools import permutations
+
+    from oddballoon.graphs import is_forest
+
+    for level in graph_levels(6):
+        for g in level:
+            key, gens = canonical_key_and_generators(g)
+            assert key == canonical_key(g)
+            assert all(_is_automorphism(g, p) for p in gens)
+            full = [p for p in permutations(range(g.n)) if _is_automorphism(g, p)]
+            got, want = _orbits(g.n, gens), _orbits(g.n, full)
+            assert all(a & ~b == 0 for a, b in zip(got, want))
+            if not is_forest(g):  # forests get only their twin transpositions
+                assert got == want
+    for g in (_rook_4x4(), _shrikhande(), complete_bipartite(3, 4), union_all([complete_graph(4)] * 3)):
+        _, gens = canonical_key_and_generators(g)
+        assert gens and all(_is_automorphism(g, p) for p in gens)

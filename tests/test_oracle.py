@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import slow_f2, slow_uncovered
+from helpers import brute_contains, graph_from_mask, slow_f2, slow_uncovered
 from oddballoon.canon import is_isomorphic
 from oddballoon.construct import EdgeColoring
 from oddballoon.decomp import GraphFamily
@@ -13,6 +13,7 @@ from oddballoon.graphs import (
     ParameterError,
     complete_bipartite,
     complete_graph,
+    cycle_graph,
     empty_graph,
     from_edges,
     path_graph,
@@ -40,6 +41,21 @@ def test_ex_exact_mantel():
         assert res.value == n * n // 4
     res5 = ex_exact(5, [K3])
     assert is_isomorphic(res5.witness, complete_bipartite(2, 3))
+
+
+def test_ex_exact_matches_labelled_brute_force():
+    for h in (K3, cycle_graph(4), cycle_graph(5)):
+        for n in range(2, 7):
+            pairs = n * (n - 1) // 2
+            # the densest h-free labelled graph, scanning down by edge count
+            masks = sorted(range(1 << pairs), key=lambda m: -m.bit_count())
+            best = next(m.bit_count() for m in masks if not brute_contains(graph_from_mask(n, m), h))
+            assert ex_exact(n, [h]).value == best
+
+
+def test_ex_exact_grows_one_child_per_orbit():
+    # every neighbour set of every parent would be 16,723 candidates
+    assert ex_exact(8, [K3]).nodes_explored < 16723
 
 
 def test_ex_exact_monotone_in_family():

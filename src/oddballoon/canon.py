@@ -67,49 +67,50 @@ CANON_VERTEX_CAP = 16
 Perm = tuple[int, ...]  # perm[v] is the image of vertex v
 
 
-def _tree_centers(rows: list[int], comp: list[int]) -> list[int]:
-    """Centers of a tree given as local adjacency rows over comp indices."""
-    n = len(comp)
-    if n == 1:
-        return [0]
-    deg = [rows[i].bit_count() for i in range(n)]
-    remaining = n
-    layer = [i for i in range(n) if deg[i] <= 1]
-    alive = [True] * n
-    while remaining > 2:
-        nxt = []
+def _subtree_codes(rows: tuple[int, ...], mask: int) -> tuple[int, dict[int, bytes]]:
+    """Root and codes of the tree induced on the vertex mask of the rows.
+
+    Leaves are stripped layer by layer until one or two centers remain; a
+    vertex's code is "(" + its sorted child codes + ")", children being
+    the neighbours stripped before it.  The root is the center with the
+    least code (the lower index on a tie), and each code is that of the
+    vertex's subtree hanging from the root."""
+    kids: dict[int, list[bytes]] = {v: [] for v in iter_bits(mask)}
+    code: dict[int, bytes] = {}
+    alive = mask
+    while alive.bit_count() > 2:
+        layer = [v for v in iter_bits(alive) if (rows[v] & alive).bit_count() == 1]
         for v in layer:
-            alive[v] = False
-            remaining -= 1
-            for u in iter_bits(rows[v]):
-                if alive[u]:
-                    deg[u] -= 1
-                    if deg[u] == 1:
-                        nxt.append(u)
-        layer = nxt
-    return [i for i in range(n) if alive[i]]
+            alive ^= 1 << v
+        for v in layer:
+            code[v] = b"(" + b"".join(sorted(kids[v])) + b")"
+            kids[(rows[v] & alive).bit_length() - 1].append(code[v])
+    for v in iter_bits(alive):
+        code[v] = b"(" + b"".join(sorted(kids[v])) + b")"
+    if alive & (alive - 1) == 0:
+        return alive.bit_length() - 1, code
+    a, b = bit_indices(alive)
+    rooted_a = b"(" + b"".join(sorted(kids[a] + [code[b]])) + b")"
+    rooted_b = b"(" + b"".join(sorted(kids[b] + [code[a]])) + b")"
+    if rooted_b < rooted_a:
+        code[b] = rooted_b
+        return b, code
+    code[a] = rooted_a
+    return a, code
 
 
-def _rooted_code(rows: list[int], root: int, parent: int) -> bytes:
-    kids = sorted(
-        _rooted_code(rows, u, root) for u in iter_bits(rows[root]) if u != parent
-    )
-    return b"(" + b"".join(kids) + b")"
+def tree_code(rows: tuple[int, ...], mask: int) -> bytes:
+    """Code of the tree induced on the vertex mask of the adjacency rows:
+    the least center-rooted code.  Equal for two trees iff they are
+    isomorphic; a forest's key is its sorted component codes, so the code
+    multiset of a forest without isolated vertices determines it up to
+    isomorphism."""
+    root, code = _subtree_codes(rows, mask)
+    return code[root]
 
 
 def _forest_key(g: Graph) -> bytes:
-    comps = connected_components(g)
-    codes = []
-    for comp_mask in comps:
-        verts = bit_indices(comp_mask)
-        pos = {v: i for i, v in enumerate(verts)}
-        rows = [0] * len(verts)
-        for v in verts:
-            for u in iter_bits(g.rows[v] & comp_mask):
-                rows[pos[v]] |= 1 << pos[u]
-        centers = _tree_centers(rows, verts)
-        codes.append(min(_rooted_code(rows, c, -1) for c in centers))
-    codes.sort()
+    codes = sorted(tree_code(g.rows, comp) for comp in connected_components(g))
     return b"T" + g.n.to_bytes(2, "big") + b"|".join(codes)
 
 
@@ -343,31 +344,19 @@ def _forest_order(g: Graph) -> list[int]:
     traversed from its best center with children in sorted-code order.
     Equal-coded siblings are interchangeable, so the relabelled graph is a
     function of the isomorphism class alone."""
+    rows = g.rows
     comps = []
-    for comp_mask in connected_components(g):
-        verts = bit_indices(comp_mask)
-        pos = {v: i for i, v in enumerate(verts)}
-        rows = [0] * len(verts)
-        for v in verts:
-            for u in iter_bits(g.rows[v] & comp_mask):
-                rows[pos[v]] |= 1 << pos[u]
-        centers = _tree_centers(rows, verts)
-        root = min(centers, key=lambda c: _rooted_code(rows, c, -1))
-        code = _rooted_code(rows, root, -1)
-
+    for comp in connected_components(g):
+        root, code = _subtree_codes(rows, comp)
         order_local: list[int] = []
 
         def visit(v: int, parent: int) -> None:
-            order_local.append(verts[v])
-            kids = sorted(
-                (u for u in iter_bits(rows[v]) if u != parent),
-                key=lambda u: _rooted_code(rows, u, v),
-            )
-            for u in kids:
+            order_local.append(v)
+            for u in sorted((u for u in iter_bits(rows[v]) if u != parent), key=code.__getitem__):
                 visit(u, v)
 
         visit(root, -1)
-        comps.append((code, order_local))
+        comps.append((code[root], order_local))
     comps.sort(key=lambda t: t[0])
     out: list[int] = []
     for _, order_local in comps:

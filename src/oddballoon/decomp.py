@@ -3,10 +3,10 @@ its definition-based oracle, and the derived covering family."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, product
 
 from .balloon import BalloonSpec, BipartiteTree, bipartition, build_balloon
-from .canon import canonical_form, canonical_key
+from .canon import canonical_form, canonical_key, tree_code
 from .embed import contains_subgraph
 from .graphs import (
     CapacityError,
@@ -15,6 +15,7 @@ from .graphs import (
     _fast_graph,
     bit_indices,
     complete_graph,
+    connected_components,
     from_edges,
     induced,
     iter_bits,
@@ -185,31 +186,88 @@ def decomposition_family(tree: BipartiteTree, spec: BalloonSpec) -> GraphFamily:
     leaf-edges whose edge (or its origin) is of type II; deduplicated and
     isolated vertices stripped.
 
+    Peel outcomes are enumerated per component of the split forest F_S
+    rather than per subset of the eligible edges, which gives the same
+    family:
+
+    - peeling a pendant edge pv with v a leaf makes pv a separate K2 and
+      takes one leaf from p; peeling an isolated K2 does nothing, so only
+      leaves in components of three or more vertices matter;
+    - leaves on the same parent are twins in F_S, so peeling any k of the
+      eligible ones at p gives isomorphic results: only the count at each
+      parent matters;
+    - the result is a forest, and with isolated vertices stripped its
+      sorted multiset of component codes (`canon.tree_code`) determines it
+      up to isomorphism.
+
+    So each component C contributes one outcome per vector of per-parent
+    counts: the code of C minus the peeled leaves (dropped when a single
+    vertex is left) plus one K2 code per peeled leaf.  The outcome sets
+    are combined by a product deduplicated on the sorted code multiset,
+    and only one representative peel set per new multiset is applied and
+    added, with its trace.
+
     Every member has exactly e(T) edges and no isolated vertex, so a member
     containing another is isomorphic to it: the family is already minimal
     and needs no `prune_non_minimal` pass."""
-    if tree.n > 12 or len(tree.edges) > 8:
-        raise CapacityError("decomposition_family caps at 12 vertices / 8 edges")
+    if len(tree.edges) > 8:
+        raise CapacityError("decomposition_family caps at 8 edges (9 vertices)")
     tg = tree.graph()
     fam = GraphFamily()
+    seen: set[tuple[bytes, ...]] = set()
     for split_set in _independent_subsets(tg):
         split_g, origin = split_vertices(tg, split_set)
-        degs = split_g.degrees()
-        eligible = [
-            e
-            for e in split_g.edges()
-            if (degs[e[0]] == 1 or degs[e[1]] == 1) and spec.is_type_two(origin[(min(e), max(e))])
-        ]
-        for r in range(len(eligible) + 1):
-            for peel in combinations(eligible, r):
-                result = peel_edges(split_g, list(peel), origin, spec)
-                names = ",".join(tree.names[v] for v in sorted(split_set)) or "-"
-                peeled = ";".join(f"{a}-{b}" for a, b in peel) or "-"
-                fam.add(result, trace=f"split {{{names}}} peel {{{peeled}}}")
+        names = ",".join(tree.names[v] for v in sorted(split_set)) or "-"
+        for codes, peel in _peel_outcomes(split_g, origin, spec).items():
+            if codes in seen:
+                continue
+            seen.add(codes)
+            result = peel_edges(split_g, peel, origin, spec)
+            peeled = ";".join(f"{a}-{b}" for a, b in peel) or "-"
+            fam.add(result, trace=f"split {{{names}}} peel {{{peeled}}}")
     e_t = len(tree.edges)
     for m in fam:
         assert m.edge_count() == e_t, "splitting/peeling must preserve edge count"
     return fam
+
+
+_K2_CODE = tree_code((0b10, 0b01), 0b11)
+
+
+def _peel_outcomes(
+    forest: Graph, origin: dict[Edge, Edge], spec: BalloonSpec
+) -> dict[tuple[bytes, ...], list[Edge]]:
+    """The distinct results of peeling the forest, each as the sorted codes
+    of its components without isolated vertices, mapped to a peel set that
+    gives it (see `decomposition_family`)."""
+    rows = forest.rows
+    outcomes: dict[tuple[bytes, ...], list[Edge]] = {(): []}
+    for comp in connected_components(forest):
+        groups: dict[int, list[int]] = {}  # parent -> its leaves on type II edges
+        if comp.bit_count() > 2:
+            for v in iter_bits(comp):
+                if rows[v].bit_count() == 1:
+                    p = rows[v].bit_length() - 1
+                    if spec.is_type_two(origin[(p, v) if p < v else (v, p)]):
+                        groups.setdefault(p, []).append(v)
+        comp_out: dict[tuple[bytes, ...], list[Edge]] = {}
+        for counts in product(*(range(len(leaves) + 1) for leaves in groups.values())):
+            peel: list[Edge] = []
+            rest = comp
+            for (p, leaves), k in zip(groups.items(), counts):
+                for v in leaves[:k]:
+                    peel.append((p, v) if p < v else (v, p))
+                    rest &= ~(1 << v)
+            codes = [_K2_CODE] * len(peel)
+            if rest.bit_count() > 1:
+                codes.append(tree_code(rows, rest))
+            comp_out.setdefault(tuple(sorted(codes)), peel)
+        merged: dict[tuple[bytes, ...], list[Edge]] = {}
+        for codes, peel in outcomes.items():
+            for comp_codes, comp_peel in comp_out.items():
+                merged.setdefault(tuple(sorted(codes + comp_codes)), peel + comp_peel)
+        outcomes = merged
+    return outcomes
 
 
 def _embedding_host(side: int, m: Graph) -> Graph:

@@ -15,11 +15,14 @@ from .canon import (
 )
 from .embed import creates_copy_with_vertex
 from .graphs import (
+    CapacityError,
     Graph,
+    _append_vertex,
     _fast_graph,
     add_vertex,
     empty_graph,
     from_edges,
+    vertex_cap,
 )
 
 Predicate = Callable[[Graph], bool]
@@ -54,14 +57,17 @@ def _vertex_growth(max_n: int, members: Sequence[Graph]) -> tuple[list[Level], i
     lost.  The least subset of each orbit is the one kept, so the
     representatives are the ones a scan of every subset would keep.
     """
+    cap = vertex_cap()
     empty = empty_graph(0)
     levels: list[Level] = [{canonical_key(empty): (empty, ())}]
     nodes = 0
     for v in range(max_n):
+        if levels[v] and v + 1 > cap:
+            raise CapacityError(f"{v + 1} vertices exceeds cap {cap}")
         level: Level = {}
         for parent, gens in levels[v].values():
             for subset in _subset_orbit_reps(v, gens):
-                cand = add_vertex(parent, subset)
+                cand = _append_vertex(parent, subset)
                 nodes += 1
                 if any(creates_copy_with_vertex(cand, m, v) for m in members):
                     continue

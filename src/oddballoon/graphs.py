@@ -253,6 +253,8 @@ def strip_isolated(g: Graph) -> Graph:
     for v, row in enumerate(g.rows):
         if row:
             mask |= 1 << v
+    if mask == (1 << g.n) - 1:
+        return g
     return induced(g, mask)
 
 
@@ -282,6 +284,11 @@ def add_vertex(g: Graph, neighbors_mask: int = 0) -> Graph:
     """Append a new vertex adjacent to the given bitmask of old vertices."""
     if g.n + 1 > vertex_cap():
         raise CapacityError(f"{g.n + 1} vertices exceeds cap {vertex_cap()}")
+    return _append_vertex(g, neighbors_mask)
+
+
+def _append_vertex(g: Graph, neighbors_mask: int) -> Graph:
+    """add_vertex without the cap check, for callers that check it once."""
     z = g.n
     rows = [row | (1 << z if neighbors_mask >> v & 1 else 0) for v, row in enumerate(g.rows)]
     rows.append(neighbors_mask)

@@ -99,3 +99,27 @@ def graph_from_mask(n: int, mask: int) -> Graph:
 
     pairs = list(combinations(range(n), 2))
     return from_edges(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+
+
+def brute_decomposition_family(tree, spec):
+    """Splitting then peeling by the definition: every independent split
+    set, every subset of the eligible leaf-edges, each peeled graph keyed."""
+    from oddballoon.decomp import GraphFamily, _independent_subsets, peel_edges, split_vertices
+
+    tg = tree.graph()
+    fam = GraphFamily()
+    for split_set in _independent_subsets(tg):
+        split_g, origin = split_vertices(tg, split_set)
+        degs = split_g.degrees()
+        eligible = [
+            e
+            for e in split_g.edges()
+            if (degs[e[0]] == 1 or degs[e[1]] == 1) and spec.is_type_two(origin[(min(e), max(e))])
+        ]
+        for r in range(len(eligible) + 1):
+            for peel in combinations(eligible, r):
+                result = peel_edges(split_g, list(peel), origin, spec)
+                names = ",".join(tree.names[v] for v in sorted(split_set)) or "-"
+                peeled = ";".join(f"{a}-{b}" for a, b in peel) or "-"
+                fam.add(result, trace=f"split {{{names}}} peel {{{peeled}}}")
+    return fam

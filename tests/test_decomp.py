@@ -1,6 +1,16 @@
-import pytest
+import random
+import re
+import time
+from itertools import product
+from pathlib import Path
 
-from oddballoon.balloon import parse_spec
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import brute_decomposition_family
+from oddballoon.audits import _tree_from_graph
+from oddballoon.balloon import BalloonSpec, BipartiteTree, load_spec, parse_spec
 from oddballoon.canon import canonical_key, is_isomorphic
 from oddballoon.decomp import (
     GraphFamily,
@@ -10,7 +20,9 @@ from oddballoon.decomp import (
     peel_edges,
     split_vertices,
 )
+from oddballoon.generate import trees_up_to
 from oddballoon.graphs import (
+    CapacityError,
     ParameterError,
     complete_graph,
     disjoint_union,
@@ -22,6 +34,7 @@ from oddballoon.graphs import (
 )
 
 K2 = from_edges(2, [(0, 1)])
+SPECS = sorted((Path(__file__).resolve().parent.parent / "specs").glob("*.spec"))
 
 
 def keys(graphs):
@@ -113,10 +126,19 @@ def test_family_edge_counts_and_matching_member():
 
 
 def test_family_traces_present():
-    tree, spec = parse_spec("tree: 1-2 2-3\ncycles: 1-2:3 2-3:3")
-    fam = decomposition_family(tree, spec)
-    for m in fam:
-        assert fam.trace(m) is not None
+    # each member's trace names a split set and peel edges that re-derive it
+    cases = [parse_spec("tree: 1-2 2-3\ncycles: 1-2:3 2-3:3")] + [load_spec(p) for p in SPECS]
+    for tree, spec in cases:
+        fam = decomposition_family(tree, spec)
+        for m in fam:
+            trace = fam.trace(m)
+            assert trace is not None
+            names, peeled = re.fullmatch(r"split \{(.*)\} peel \{(.*)\}", trace).groups()
+            split_set = {tree.names.index(x) for x in names.split(",")} if names != "-" else set()
+            peel = [tuple(map(int, x.split("-"))) for x in peeled.split(";")] if peeled != "-" else []
+            split_g, origin = split_vertices(tree.graph(), split_set)
+            result = peel_edges(split_g, peel, origin, spec)
+            assert canonical_key(strip_isolated(result)) == canonical_key(m), trace
 
 
 def test_oracle_examples():
@@ -169,17 +191,81 @@ def test_prune_non_minimal():
 
 
 def test_decomposition_capacity():
-    import pytest
-
-    from oddballoon.balloon import BalloonSpec, BipartiteTree
-    from oddballoon.graphs import CapacityError
-
-    names = tuple(str(i) for i in range(14))
-    edges = tuple((0, i) for i in range(1, 14))
+    names = tuple(str(i) for i in range(10))
+    edges = tuple((0, i) for i in range(1, 10))
     tree = BipartiteTree(names, edges)
     spec = BalloonSpec(tuple((e, 3) for e in edges))
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match="8 edges"):
         decomposition_family(tree, spec)
+    at_cap = BipartiteTree(names[:9], edges[:8])
+    assert len(decomposition_family(at_cap, BalloonSpec(spec.lengths[:8]))) == 2  # K_{1,8} and 8K2
+
+
+def test_family_budget_at_cap():
+    # every 9-vertex tree (8 edges, the cap) with all lengths 5: about 2 s
+    # on a 2-core VM; enumerating all 2^r peel subsets took 33 s
+    t0 = time.perf_counter()
+    for tg in trees_up_to(9)[9]:
+        tree = _tree_from_graph(tg)
+        decomposition_family(tree, BalloonSpec(tuple((e, 5) for e in tree.edges)))
+    assert time.perf_counter() - t0 < 12.0
+
+
+def _length_cases(max_n: int):
+    for level in trees_up_to(max_n)[2:]:
+        for tg in level:
+            tree = _tree_from_graph(tg)
+            for combo in product((3, 5), repeat=len(tree.edges)):
+                yield tree, BalloonSpec(tuple(zip(tree.edges, combo)))
+
+
+def test_family_matches_brute_small_trees():
+    for tree, spec in _length_cases(6):
+        assert decomposition_family(tree, spec).keys() == brute_decomposition_family(tree, spec).keys(), (
+            tree.edges,
+            spec.lengths,
+        )
+
+
+def test_family_matches_brute_larger_trees_and_specs():
+    rng = random.Random(2024)
+    cases = [load_spec(p) for p in SPECS]
+    for n in (7, 8):
+        for tg in trees_up_to(8)[n]:
+            tree = _tree_from_graph(tg)
+            e = len(tree.edges)
+            drawn = tuple(rng.choice((3, 5, 7)) for _ in range(e))
+            for lengths in ((3,) * e, (5,) * e, drawn):
+                cases.append((tree, BalloonSpec(tuple(zip(tree.edges, lengths)))))
+    for tree, spec in cases:
+        assert decomposition_family(tree, spec).keys() == brute_decomposition_family(tree, spec).keys(), (
+            tree.edges,
+            spec.lengths,
+        )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=8).flatmap(
+        lambda n: st.tuples(st.integers(0, len(trees_up_to(8)[n]) - 1), st.just(n))
+    ),
+    st.lists(st.sampled_from((3, 5, 7)), min_size=7, max_size=7),
+    st.randoms(use_true_random=False),
+)
+def test_family_invariant_under_relabelling(pick, lengths, rng):
+    i, n = pick
+    tree = _tree_from_graph(trees_up_to(8)[n][i])
+    spec = BalloonSpec(tuple(zip(tree.edges, lengths)))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    names = [""] * n
+    for v, name in enumerate(tree.names):
+        names[perm[v]] = name
+    moved_lengths = tuple(
+        sorted(((min(perm[u], perm[v]), max(perm[u], perm[v])), ln) for (u, v), ln in spec.lengths)
+    )
+    moved = BipartiteTree(tuple(names), tuple(e for e, _ in moved_lengths))
+    assert decomposition_family(moved, BalloonSpec(moved_lengths)).keys() == decomposition_family(tree, spec).keys()
 
 
 def test_family_matches_oracle_with_longer_cycles():
@@ -198,22 +284,8 @@ def test_family_matches_oracle_with_longer_cycles():
 def test_family_needs_no_pruning():
     # members all have e(T) edges and no isolated vertex, so containment
     # between two of them means isomorphism and the prune drops nothing
-    from itertools import product
-    from pathlib import Path
-
-    from oddballoon.audits import _tree_from_graph
-    from oddballoon.balloon import BalloonSpec, load_spec
-    from oddballoon.generate import trees_up_to
-
-    cases = []
-    for level in trees_up_to(5)[2:]:
-        for tg in level:
-            tree = _tree_from_graph(tg)
-            for combo in product((3, 5), repeat=len(tree.edges)):
-                cases.append((tree, BalloonSpec(tuple(zip(tree.edges, combo)))))
-    specs = sorted((Path(__file__).resolve().parent.parent / "specs").glob("*.spec"))
-    assert specs
-    cases += [load_spec(p) for p in specs]
+    assert SPECS
+    cases = list(_length_cases(5)) + [load_spec(p) for p in SPECS]
     for tree, spec in cases:
         fam = decomposition_family(tree, spec)
         assert fam.keys() == fam.prune_non_minimal().keys(), (tree.edges, spec.lengths)

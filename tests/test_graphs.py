@@ -93,6 +93,26 @@ def test_capacity_cap(monkeypatch):
         empty_graph(129)
 
 
+def test_growth_reads_cap_once(monkeypatch):
+    from oddballoon import graphs
+    from oddballoon.generate import graph_levels
+
+    monkeypatch.setenv("TB_MAX_VERTICES", "4")
+    with pytest.raises(CapacityError):
+        graph_levels(5)
+    calls = []
+    monkeypatch.setattr(graphs, "vertex_cap", lambda: calls.append(1) or 4)
+    monkeypatch.setattr("oddballoon.generate.vertex_cap", graphs.vertex_cap)
+    assert [len(level) for level in graph_levels(4)] == [1, 1, 2, 4, 11]
+    assert len(calls) <= 2  # the growth's own read and empty_graph(0)'s, not one per candidate
+
+
+def test_strip_isolated_keeps_graph_without_isolated_vertices():
+    p3 = path_graph(3)
+    assert strip_isolated(p3) is p3
+    assert strip_isolated(disjoint_union(p3, empty_graph(1))) == p3
+
+
 def test_components_and_bipartite():
     g = disjoint_union(cycle_graph(4), path_graph(3))
     comps = connected_components(g)

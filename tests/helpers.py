@@ -123,3 +123,15 @@ def brute_decomposition_family(tree, spec):
                 peeled = ";".join(f"{a}-{b}" for a, b in peel) or "-"
                 fam.add(result, trace=f"split {{{names}}} peel {{{peeled}}}")
     return fam
+
+
+def reference_ex_exact(n: int, family) -> tuple[int, Graph]:
+    """ex(n, family) and its witness from every class on n vertices: the
+    largest edge count over the last level of graph_levels, and the
+    canonical form of the extremal class with the least canonical key."""
+    from oddballoon.canon import canonical_form, canonical_key
+    from oddballoon.generate import graph_levels
+
+    last = graph_levels(n, tuple(family))[-1]
+    best = max(g.edge_count() for g in last)
+    return best, canonical_form(min((g for g in last if g.edge_count() == best), key=canonical_key))

@@ -3,7 +3,10 @@ from pathlib import Path
 
 import pytest
 
+from oddballoon.canon import is_isomorphic
 from oddballoon.cli import main
+from oddballoon.codec import decode_graph6, encode_graph6
+from oddballoon.graphs import complete_graph, turan_graph
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 
@@ -107,6 +110,15 @@ def test_oracle_ex(capsys):
     data = json.loads(out)
     assert data["value"] == 9
     assert data["nodes_explored"] > 0 and data["elapsed_ms"] >= 0
+
+
+def test_oracle_ex_witness(capsys):
+    k4 = encode_graph6(complete_graph(4))
+    code, out, _ = run(capsys, "oracle", "ex", "-n", "8", "--forbid", k4)
+    assert code == 0
+    data = json.loads(out)
+    assert data["value"] == 21
+    assert is_isomorphic(decode_graph6(data["witness_graph6"]), turan_graph(8, 3))
 
 
 def test_oracle_ex_bounded(capsys):

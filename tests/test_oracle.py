@@ -1,9 +1,15 @@
 import random
+import time
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from helpers import brute_contains, graph_from_mask, slow_f2, slow_uncovered
+from helpers import brute_contains, graph_from_mask, reference_ex_exact, slow_f2, slow_uncovered
+from oddballoon.balloon import build_balloon, load_spec
 from oddballoon.canon import is_isomorphic
+from oddballoon.codec import encode_graph6
 from oddballoon.construct import EdgeColoring
 from oddballoon.decomp import GraphFamily
 from oddballoon.formulas import chvatal_hanson
@@ -17,6 +23,7 @@ from oddballoon.graphs import (
     empty_graph,
     from_edges,
     path_graph,
+    relabel,
     star_graph,
     union_all,
 )
@@ -33,6 +40,7 @@ from oddballoon.oracle import (
 
 K2 = from_edges(2, [(0, 1)])
 K3 = complete_graph(3)
+BOWTIE = build_balloon(*load_spec(Path(__file__).resolve().parent.parent / "specs" / "bowtie.spec"))
 
 
 def test_ex_exact_mantel():
@@ -53,9 +61,55 @@ def test_ex_exact_matches_labelled_brute_force():
             assert ex_exact(n, [h]).value == best
 
 
+def test_ex_exact_matches_full_last_level():
+    families = [
+        [K3],
+        [cycle_graph(4)],
+        [cycle_graph(5)],
+        [cycle_graph(4), K3],
+        [star_graph(4)],
+        [union_all([K2] * 3)],
+        [BOWTIE],
+        [complete_graph(4)],
+    ]
+    for family in families:
+        for n in range(8):
+            value, witness = reference_ex_exact(n, family)
+            res = ex_exact(n, family)
+            assert res.value == value, (n, family)
+            assert res.witness.rows == witness.rows, (n, family)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=3, max_value=5).flatmap(
+        lambda k: st.tuples(st.just(k), st.lists(st.booleans(), min_size=k * (k - 1) // 2, max_size=k * (k - 1) // 2))
+    ),
+    st.integers(min_value=0, max_value=6),
+    st.randoms(use_true_random=False),
+)
+def test_ex_exact_invariant_under_relabelling(member_spec, n, rng):
+    k, bits = member_spec
+    pairs = [(u, v) for u in range(k) for v in range(u + 1, k)]
+    assume(any(bits))
+    member = from_edges(k, [p for p, bit in zip(pairs, bits) if bit])
+    perm = list(range(k))
+    rng.shuffle(perm)
+    res, moved = ex_exact(n, [member]), ex_exact(n, [relabel(member, perm)])
+    assert (res.value, encode_graph6(res.witness)) == (moved.value, encode_graph6(moved.witness))
+
+
 def test_ex_exact_grows_one_child_per_orbit():
-    # every neighbour set of every parent would be 16,723 candidates
-    assert ex_exact(8, [K3]).nodes_explored < 16723
+    # every neighbour set of every parent would be 16,723 candidates, every
+    # orbit at every level 8,359; the last level stops at the densest free tier
+    assert ex_exact(8, [K3]).nodes_explored < 3000
+    assert ex_exact(8, [complete_graph(4)]).nodes_explored < 10000
+
+
+def test_ex_exact_k4_within_budget():
+    t0 = time.perf_counter()
+    assert ex_exact(8, [complete_graph(4)]).value == 21
+    assert time.perf_counter() - t0 < 3.0
 
 
 def test_ex_exact_monotone_in_family():

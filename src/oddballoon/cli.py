@@ -16,7 +16,7 @@ from .balloon import (
     validate_good,
 )
 from .codec import Graph6Error, decode_graph6, encode_graph6, export_dot
-from .construct import EdgeColoring, coloring_candidate, extremal_candidate
+from .construct import EdgeColoring, extremal_candidate
 from .decomp import b_family, decomposition_family, decomposition_oracle
 from .embed import contains_subgraph
 from .formulas import turan_number
@@ -104,7 +104,7 @@ def _cmd_construct(args) -> int:
         Path(args.dot).write_text(export_dot(cand.graph), encoding="utf-8")
         print(f"wrote {args.dot}")
     if args.coloring_out:
-        coloring = coloring_candidate(args.n, tree, spec)
+        coloring = EdgeColoring(args.n, frozenset(cand.graph.edges()))
         blob = {"n": coloring.n, "red": [list(e) for e in sorted(coloring.red)]}
         Path(args.coloring_out).write_text(json.dumps(blob) + "\n", encoding="utf-8")
         print(f"wrote {args.coloring_out}")

@@ -6,18 +6,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .balloon import AnalysisReport, BalloonSpec, BipartiteTree, analyze
-from .canon import canonical_key
-from .decomp import GraphFamily, b_family
-from .embed import contains_subgraph
-from .graphs import (
-    CapacityError,
-    Graph,
-    ParameterError,
-    add_edges,
-    empty_graph,
-    from_edges,
-    vertex_cap,
-)
+from .formulas import _middle_term
+from .graphs import CapacityError, Graph, ParameterError, empty_graph, from_edges, vertex_cap
 
 
 @dataclass(frozen=True)
@@ -82,53 +72,6 @@ def extremal_small_f(k: int) -> Graph:
     return witnesses[0]
 
 
-def max_b_free(m: int, family: GraphFamily | list[Graph]) -> tuple[Graph, int]:
-    """A family-free graph on m vertices with the maximum number of edges,
-    by branch-and-bound over labelled edge subsets (independent of the
-    isomorphism-class oracle).  Returns (witness, value)."""
-    if m < 0:
-        raise ParameterError("max_b_free needs m >= 0")
-    if m > 7:
-        raise CapacityError("max_b_free enumerates only for m <= 7")
-    members = list(family)
-    blockers = [g for g in members if g.edge_count() == 0 and g.n <= m]
-    if blockers:
-        raise ParameterError(
-            f"family member on {blockers[0].n} vertices with no edges forbids "
-            f"every graph on {m} vertices"
-        )
-    members = [g for g in members if g.n <= m]
-    pairs = list(combinations(range(m), 2))
-    best: list[tuple[int, bytes | None, Graph]] = [(-1, None, empty_graph(m))]
-
-    def consider(g: Graph, edges: int) -> None:
-        value, key, _ = best[0]
-        if edges < value:
-            return
-        gkey = canonical_key(g)
-        if edges > value or (key is not None and gkey < key):
-            best[0] = (edges, gkey, g)
-
-    def grow(i: int, g: Graph, edges: int) -> None:
-        if edges + (len(pairs) - i) < best[0][0]:
-            return
-        if i == len(pairs):
-            consider(g, edges)
-            return
-        u, v = pairs[i]
-        g2 = add_edges(g, [(u, v)])
-        if not any(
-            p.edge_count() <= edges + 1 and contains_subgraph(g2, p, anchor=(u, v))
-            for p in members
-        ):
-            grow(i + 1, g2, edges + 1)
-        grow(i + 1, g, edges)
-
-    grow(0, empty_graph(m), 0)
-    value, _, witness = best[0]
-    return witness, value
-
-
 def extremal_candidate(
     n: int,
     tree: BipartiteTree,
@@ -140,8 +83,6 @@ def extremal_candidate(
     universal set and the small extremal piece inside the larger side."""
     rep = analysis if analysis is not None else analyze(tree, spec)
     a, k = rep.a, rep.k
-    if a - 1 > 7:
-        raise CapacityError("extremal_candidate needs a-1 <= 7")
     if n < a - 1 + 2 * (k - 1) + 2:
         raise ParameterError(f"n={n} too small to host the construction")
     if n > vertex_cap():
@@ -156,8 +97,8 @@ def extremal_candidate(
     edges += [(u, v) for u in x1 for v in x2]
 
     if rep.branch == "k_gt_k1":
-        bgraph, _ = max_b_free(a - 1, b_family(tree, spec))
-        x_edges = tuple(bgraph.edges())
+        # the middle term's witness lives on 0..a-2, which is exactly x
+        x_edges = tuple(_middle_term(tree, spec, a).witness.edges())
         edges += list(x_edges)
         piece = None
         embedded: tuple[int, ...] = ()
@@ -192,5 +133,4 @@ def coloring_candidate(
     edges sit in no red copy, and the blue pairs among the universal
     vertices sit in blue components too small to host the ballooning."""
     cand = extremal_candidate(n, tree, spec, analysis)
-    red = frozenset(tuple(sorted(e)) for e in cand.graph.edges())
-    return EdgeColoring(n, red)
+    return EdgeColoring(n, frozenset(cand.graph.edges()))

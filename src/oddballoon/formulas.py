@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .balloon import AnalysisReport, BalloonSpec, BipartiteTree, analyze
-from .graphs import CapacityError, ParameterError
+from .graphs import ParameterError
 
 
 def chvatal_hanson(nu: int, delta: int) -> int:
@@ -89,15 +89,10 @@ def turan_number(
 ) -> TuranReport:
     """The closed-form Turan value for the good ballooning, with the middle
     term computed exactly by the small-n oracle."""
-    from .decomp import b_family
-    from .oracle import ex_exact
-
     rep = analysis if analysis is not None else analyze(tree, spec)
     a, k, k1 = rep.a, rep.k, rep.k1
-    if a - 1 > 7:
-        raise CapacityError("turan_number computes the middle term exactly only for a-1 <= 7")
     base = e_base(n, a)
-    middle = ex_exact(a - 1, b_family(tree, spec)).value
+    middle = _middle_term(tree, spec, a).value
     tail = chvatal_hanson(k - 1, k - 1) if rep.branch == "k_eq_k1" else (k - 1) ** 2
     return TuranReport(
         n=n,
@@ -110,3 +105,13 @@ def turan_number(
         tail=tail,
         total=base + middle + tail,
     )
+
+
+def _middle_term(tree: BipartiteTree, spec: BalloonSpec, a: int):
+    """ex(a-1, B) for the covering family B, as an oracle ExResult: the value
+    is the middle summand, and the witness, on vertices 0..a-2, is the
+    B-free graph the construction places inside its universal set."""
+    from .decomp import b_family
+    from .oracle import ex_exact
+
+    return ex_exact(a - 1, b_family(tree, spec))

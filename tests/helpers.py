@@ -3,12 +3,17 @@
 These deliberately avoid the library's search strategies: matching by
 exhaustive edge-subset enumeration, covers by subset sweep, containment by
 trying every injective map, colorings by literal per-edge scans.
+`max_b_free` searches labelled edge subsets, independent of the
+isomorphism-class enumeration behind `ex_exact`.
 """
 from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from oddballoon.graphs import Graph
+from oddballoon.canon import canonical_key
+from oddballoon.decomp import GraphFamily
+from oddballoon.embed import contains_subgraph
+from oddballoon.graphs import CapacityError, Graph, ParameterError, add_edges, empty_graph
 
 
 def brute_max_matching(g: Graph) -> int:
@@ -135,3 +140,50 @@ def reference_ex_exact(n: int, family) -> tuple[int, Graph]:
     last = graph_levels(n, tuple(family))[-1]
     best = max(g.edge_count() for g in last)
     return best, canonical_form(min((g for g in last if g.edge_count() == best), key=canonical_key))
+
+
+def max_b_free(m: int, family: GraphFamily | list[Graph]) -> tuple[Graph, int]:
+    """A family-free graph on m vertices with the maximum number of edges,
+    by branch-and-bound over labelled edge subsets (independent of the
+    isomorphism-class oracle).  Returns (witness, value)."""
+    if m < 0:
+        raise ParameterError("max_b_free needs m >= 0")
+    if m > 7:
+        raise CapacityError("max_b_free enumerates only for m <= 7")
+    members = list(family)
+    blockers = [g for g in members if g.edge_count() == 0 and g.n <= m]
+    if blockers:
+        raise ParameterError(
+            f"family member on {blockers[0].n} vertices with no edges forbids "
+            f"every graph on {m} vertices"
+        )
+    members = [g for g in members if g.n <= m]
+    pairs = list(combinations(range(m), 2))
+    best: list[tuple[int, bytes | None, Graph]] = [(-1, None, empty_graph(m))]
+
+    def consider(g: Graph, edges: int) -> None:
+        value, key, _ = best[0]
+        if edges < value:
+            return
+        gkey = canonical_key(g)
+        if edges > value or (key is not None and gkey < key):
+            best[0] = (edges, gkey, g)
+
+    def grow(i: int, g: Graph, edges: int) -> None:
+        if edges + (len(pairs) - i) < best[0][0]:
+            return
+        if i == len(pairs):
+            consider(g, edges)
+            return
+        u, v = pairs[i]
+        g2 = add_edges(g, [(u, v)])
+        if not any(
+            p.edge_count() <= edges + 1 and contains_subgraph(g2, p, anchor=(u, v))
+            for p in members
+        ):
+            grow(i + 1, g2, edges + 1)
+        grow(i + 1, g, edges)
+
+    grow(0, empty_graph(m), 0)
+    value, _, witness = best[0]
+    return witness, value

@@ -152,6 +152,9 @@ def test_construct_coloring_roundtrip(capsys, tmp_path):
         str(cfile),
     )
     assert code == 0
+    payload, _ = json.JSONDecoder().raw_decode(out)
+    red = {tuple(e) for e in json.loads(cfile.read_text())["red"]}
+    assert red == set(decode_graph6(payload["graph6"]).edges())
     code, out, _ = run(
         capsys, "oracle", "f2", str(SPECS / "double_star33.spec"), "--coloring", str(cfile)
     )

@@ -1,18 +1,24 @@
+from itertools import product
+from pathlib import Path
+
 import pytest
 
-from oddballoon.balloon import analyze, build_balloon, parse_spec
+from helpers import max_b_free
+from oddballoon.audits import _tree_from_graph
+from oddballoon.balloon import BalloonSpec, GoodnessError, analyze, build_balloon, load_spec, parse_spec
 from oddballoon.canon import is_isomorphic
 from oddballoon.construct import (
     EdgeColoring,
     coloring_candidate,
     extremal_candidate,
     extremal_small_f,
-    max_b_free,
 )
 from oddballoon.decomp import GraphFamily, b_family
 from oddballoon.embed import contains_subgraph
 from oddballoon.formulas import chvatal_hanson, e_base, turan_number
+from oddballoon.generate import trees_up_to
 from oddballoon.graphs import (
+    CapacityError,
     ParameterError,
     complete_bipartite,
     complete_graph,
@@ -22,6 +28,8 @@ from oddballoon.graphs import (
 )
 from oddballoon.matching import max_matching
 from oddballoon.oracle import ex_exact
+
+SPECS = Path(__file__).resolve().parent.parent / "specs"
 
 
 def test_extremal_small_f():
@@ -125,8 +133,6 @@ def test_edge_coloring_validation():
 
 
 def test_capacity_errors():
-    from oddballoon.graphs import CapacityError
-
     with pytest.raises(CapacityError):
         extremal_small_f(6)
     fam = GraphFamily()
@@ -139,11 +145,7 @@ def test_edge_counts_match_formula_across_n_range():
     # construction size equals the closed-form total over the whole window,
     # not only the certification points
     for name in ("double_star33.spec", "star3_mixed.spec", "friendship3.spec"):
-        from pathlib import Path
-
-        from oddballoon.balloon import load_spec
-
-        tree, spec = load_spec(Path(__file__).resolve().parent.parent / "specs" / name)
+        tree, spec = load_spec(SPECS / name)
         for n in range(15, 41):
             cand = extremal_candidate(n, tree, spec)
             assert cand.graph.edge_count() == turan_number(n, tree, spec).total
@@ -164,3 +166,53 @@ def test_coloring_equal_branch_examples():
     tree, spec = parse_spec("tree: a-b\ncycles: a-b:3")
     col = coloring_candidate(6, tree, spec)
     assert f2_count_uncovered(col, build_balloon(tree, spec)) == 9
+
+
+def _covering_branch_cases():
+    """Good specs on the k > k1 branch: every tree on <= 6 vertices with
+    every {3,5} assignment, then every spec file."""
+    cases = []
+    for level in trees_up_to(6)[2:]:
+        for tg in level:
+            tree = _tree_from_graph(tg)
+            for combo in product((3, 5), repeat=len(tree.edges)):
+                cases.append((tree, BalloonSpec(tuple(zip(tree.edges, combo)))))
+    cases += [load_spec(p) for p in sorted(SPECS.iterdir())]
+    for tree, spec in cases:
+        try:
+            rep = analyze(tree, spec)
+        except GoodnessError:
+            continue
+        if rep.branch == "k_gt_k1":
+            yield tree, spec, rep
+
+
+def test_x_piece_matches_labelled_reference():
+    # the X-piece comes from ex_exact; max_b_free reaches the same edge
+    # count by a search over labelled graphs
+    checked = 0
+    for tree, spec, rep in _covering_branch_cases():
+        fam = b_family(tree, spec)
+        _, value = max_b_free(rep.a - 1, fam)
+        n = 3 * (rep.a + 2 * rep.k)
+        cand = extremal_candidate(n, tree, spec)
+        assert len(cand.x_edges) == value, (tree.edges, spec.lengths)
+        x_graph = from_edges(rep.a - 1, cand.x_edges)
+        assert not any(contains_subgraph(x_graph, m) for m in fam), (tree.edges, spec.lengths)
+        assert cand.graph.edge_count() == turan_number(n, tree, spec).total
+        checked += 1
+    assert checked > 100
+
+
+def test_nine_edge_star_refused():
+    # a = 1, branch k > k1: the only refusal is the decomposition's edge cap
+    leaves = [f"a{i}" for i in range(1, 10)]
+    tree, spec = parse_spec(
+        "tree: " + " ".join(f"c-{v}" for v in leaves) + "\ncycles: " + " ".join(f"c-{v}:5" for v in leaves)
+    )
+    rep = analyze(tree, spec)
+    assert (rep.a, rep.branch) == (1, "k_gt_k1")
+    with pytest.raises(CapacityError, match="8 edges"):
+        turan_number(100, tree, spec)
+    with pytest.raises(CapacityError, match="8 edges"):
+        extremal_candidate(100, tree, spec)

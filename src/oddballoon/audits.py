@@ -137,7 +137,6 @@ def covering_audit(max_tree_size: int = 8, seed: int = 0) -> AuditResult:
     bad = []
     checked = 0
     ka_key_cache: dict[int, frozenset] = {}
-    from .canon import canonical_key
     from .decomp import GraphFamily
 
     def ka_keys(a: int) -> frozenset:

@@ -49,9 +49,6 @@ class BipartiteTree:
     def degree(self, v: int) -> int:
         return sum(1 for e in self.edges if v in e)
 
-    def is_leaf(self, v: int) -> bool:
-        return self.degree(v) == 1
-
     def edge_name(self, e: Edge) -> str:
         return f"{self.names[e[0]]}-{self.names[e[1]]}"
 

@@ -41,21 +41,28 @@ def graph_levels(
     """
     if any(m.n == 0 for m in forbidden):
         raise ValueError("a forbidden member with no vertices excludes every graph")
-    levels, _ = _vertex_growth(max_n, forbidden)
+    levels, _ = _vertex_growth(max_n, forbidden, [0] * (max_n + 1))
     return [[g for g, _ in level.values()] for level in levels]
 
 
-def _vertex_growth(max_n: int, members: Sequence[Graph]) -> tuple[list[Level], int]:
+def _vertex_growth(
+    max_n: int, members: Sequence[Graph], floor: Sequence[int]
+) -> tuple[list[Level], int]:
     """levels[v] maps the canonical key of each member-free class on v
-    vertices to its first-found representative and automorphism generators;
-    also returns the number of candidates generated.
+    vertices with at least floor[v] edges to a representative and its
+    automorphism generators; also returns the number of candidates built.
 
     A parent P gets one candidate add_vertex(P, S) per orbit of the group
-    that P's automorphism generators span on the subsets S of its vertices:
-    an automorphism g makes add_vertex(P, S) and add_vertex(P, g(S))
-    isomorphic, and freeness is an isomorphism invariant, so no class is
-    lost.  The least subset of each orbit is the one kept, so the
-    representatives are the ones a scan of every subset would keep.
+    that P's automorphism generators span on the subsets S of its vertices,
+    and only if e(P) + |S| >= floor[v + 1] and the new vertex has minimum
+    degree in the candidate.  Complete when floor[v - 1] <= floor[v] -
+    floor(2 floor[v] / v) for every v: deleting a vertex of minimum degree
+    from a free class with e >= floor[v] edges leaves a free class with at
+    least e - floor(2e / v) >= floor[v - 1] edges (nondecreasing in e), so
+    it is some grown parent P, and the orbit representative of the deleted
+    vertex's neighbour set rebuilds the class with a new vertex of minimum
+    degree.  Freeness and the canonical key are isomorphism invariants, so
+    no class is lost.
     """
     cap = vertex_cap()
     empty = empty_graph(0)
@@ -66,7 +73,15 @@ def _vertex_growth(max_n: int, members: Sequence[Graph]) -> tuple[list[Level], i
             raise CapacityError(f"{v + 1} vertices exceeds cap {cap}")
         level: Level = {}
         for parent, gens in levels[v].values():
+            need = floor[v + 1] - parent.edge_count()
+            degrees = parent.degrees()
+            low = min(degrees, default=v)
+            # old vertices of degree `low` must join S when |S| = low + 1
+            lowest = sum(1 << u for u, d in enumerate(degrees) if d == low)
             for subset in _subset_orbit_reps(v, gens):
+                size = subset.bit_count()
+                if size < need or size > low + 1 or (size > low and lowest & ~subset):
+                    continue
                 cand = _append_vertex(parent, subset)
                 nodes += 1
                 if any(creates_copy_with_vertex(cand, m, v) for m in members):

@@ -12,14 +12,13 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .canon import canonical_form, canonical_key, canonical_key_any
-from .embed import contains_subgraph, creates_copy_with_vertex
+from .embed import contains_subgraph
 from .formulas import chvatal_hanson
-from .generate import _subset_orbit_reps, _vertex_growth
+from .generate import _vertex_growth
 from .graphs import (
     CapacityError,
     Graph,
     ParameterError,
-    _append_vertex,
     bit_indices,
     empty_graph,
     from_edges,
@@ -41,10 +40,10 @@ class ExResult:
     """ex(n, family), an extremal graph in canonical form, the number of
     candidates built and the time taken.
 
-    Candidates are counted one per Aut(parent) orbit of neighbour sets, so
-    isomorphic candidates from one parent count once: every candidate on
-    fewer than n vertices, and on n vertices only those in the edge-count
-    tiers walked down to the densest one that holds a free graph."""
+    Candidates are counted one per Aut(parent) orbit of neighbour sets, and
+    only those that pass the edge-floor and minimum-degree checks, summed
+    over every growth run: each vertex count v <= n and each edge target
+    tried at v."""
 
     value: int
     witness: Graph
@@ -55,15 +54,15 @@ class ExResult:
 def ex_exact(n: int, family) -> ExResult:
     """Exact ex(n, family) with a witness.
 
-    All family-free classes on n - 1 vertices are grown one vertex at a
-    time up to isomorphism, pruning at every step (the growth of
-    `generate.graph_levels`).  The last vertex is then added densest first:
-    each pair of a class P and an orbit representative S of its neighbour
-    sets is filed under e(P) + |S|, and the tiers are tested from the top
-    down.  Deleting a vertex keeps a graph free, so every free class on n
-    vertices is such a pair, and the first tier holding a free graph holds
-    every extremal class.  The witness is the one with the least canonical
-    key, in canonical form.
+    For v = 0..n in turn, the family-free classes on v vertices with at
+    least `target` edges are grown one vertex at a time up to isomorphism
+    (the growth of `generate.graph_levels`), each level kept to its edge
+    floor and each new vertex to minimum degree.  The target starts at the
+    averaging bound floor(v ex(v-1) / (v-2)) (C(v, 2) for v <= 2) and drops
+    by one until the level is nonempty; the edgeless graph is free, so the
+    walk ends by target 0.  ex(v) is the largest edge count there, and that
+    level holds every extremal class; the witness is the one with the least
+    canonical key, in canonical form.
 
     family: iterable of Graphs (a GraphFamily works).  Isolated vertices in
     a member count toward its size, as subgraph containment requires.
@@ -88,47 +87,24 @@ def ex_exact(n: int, family) -> ExResult:
     if n > cap:
         raise CapacityError(f"{cap + 1} vertices exceeds cap {cap}")
     t0 = time.perf_counter()
-    if n == 0:
-        value, witness, nodes = 0, empty_graph(0), 0
-    else:
-        levels, nodes = _vertex_growth(n - 1, members)
-        value, witness, last_nodes = _densest_free_extension(levels[-1].values(), members)
-        nodes += last_nodes
+    value = nodes = 0
+    for v in range(n + 1):
+        # every edge of a free graph lies in v - 2 of its free vertex-deleted subgraphs
+        target = v * (v - 1) // 2 if v <= 2 else v * value // (v - 2)
+        while True:
+            floor = [target] * (v + 1)
+            for u in range(v, 0, -1):
+                floor[u - 1] = floor[u] - 2 * floor[u] // u
+            levels, built = _vertex_growth(v, members, floor)
+            nodes += built
+            if levels[v]:
+                break
+            target -= 1
+        value = max(g.edge_count() for g, _ in levels[v].values())
+    key = min(k for k, (g, _) in levels[n].items() if g.edge_count() == value)
+    witness = canonical_form(levels[n][key][0])
     elapsed = (time.perf_counter() - t0) * 1000.0
     return ExResult(value, witness, nodes, elapsed)
-
-
-def _densest_free_extension(parents, members: list[Graph]) -> tuple[int, Graph, int]:
-    """(edges, canonical witness, candidates built) for the densest
-    member-free graphs add_vertex(P, S) over the (class, generators) pairs
-    of one level, which must hold the edgeless class.
-
-    A parent's neighbour-set orbits are filed only once the tier walk
-    reaches e(P) + v, so parents too sparse for the answer are never
-    expanded.  The edgeless parent with S empty is free, so tier 0 stops
-    the walk at the latest.
-    """
-    parents = sorted(parents, key=lambda pg: -pg[0].edge_count())
-    v = parents[0][0].n
-    tiers: dict[int, list[tuple[Graph, int]]] = {}
-    opened = built = 0
-    top = parents[0][0].edge_count() + v
-    for edges in range(top, -1, -1):
-        while opened < len(parents) and parents[opened][0].edge_count() + v >= edges:
-            parent, gens = parents[opened]
-            base = parent.edge_count()
-            for subset in _subset_orbit_reps(v, gens):
-                tiers.setdefault(base + subset.bit_count(), []).append((parent, subset))
-            opened += 1
-        free = []
-        for parent, subset in tiers.pop(edges, ()):
-            cand = _append_vertex(parent, subset)
-            built += 1
-            if not any(creates_copy_with_vertex(cand, m, v) for m in members):
-                free.append(cand)
-        if free:
-            return edges, canonical_form(min(free, key=canonical_key)), built
-    raise AssertionError("the edgeless extension is always free")
 
 
 # -- bounded matching number + maximum degree ----------------------------

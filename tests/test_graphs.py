@@ -107,6 +107,15 @@ def test_growth_reads_cap_once(monkeypatch):
     assert len(calls) <= 2  # the growth's own read and empty_graph(0)'s, not one per candidate
 
 
+def test_graph_levels_counts_free_graphs():
+    from oddballoon.generate import graph_levels
+
+    # triangle-free graphs: OEIS A006785; C4-free graphs: as counted by growth
+    # over every neighbour set, with no floor or minimum-degree pruning
+    assert [len(level) for level in graph_levels(8, (complete_graph(3),))] == [1, 1, 2, 3, 7, 14, 38, 107, 410]
+    assert [len(level) for level in graph_levels(8, (cycle_graph(4),))] == [1, 1, 2, 4, 8, 18, 44, 117, 351]
+
+
 def test_strip_isolated_keeps_graph_without_isolated_vertices():
     p3 = path_graph(3)
     assert strip_isolated(p3) is p3

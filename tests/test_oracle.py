@@ -6,19 +6,21 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_contains, graph_from_mask, reference_ex_exact, slow_f2, slow_uncovered
+from helpers import brute_contains, graph_from_mask, max_b_free, reference_ex_exact, slow_f2, slow_uncovered
 from oddballoon.balloon import build_balloon, load_spec
-from oddballoon.canon import is_isomorphic
+from oddballoon.canon import canonical_form, is_isomorphic
 from oddballoon.codec import encode_graph6
 from oddballoon.construct import EdgeColoring
 from oddballoon.decomp import GraphFamily
+from oddballoon.embed import contains_subgraph
 from oddballoon.formulas import chvatal_hanson
-from oddballoon.generate import random_graph
+from oddballoon.generate import graph_levels, random_graph
 from oddballoon.graphs import (
     CapacityError,
     ParameterError,
     complete_bipartite,
     complete_graph,
+    connected_components,
     cycle_graph,
     empty_graph,
     from_edges,
@@ -101,15 +103,47 @@ def test_ex_exact_invariant_under_relabelling(member_spec, n, rng):
 
 def test_ex_exact_grows_one_child_per_orbit():
     # every neighbour set of every parent would be 16,723 candidates, every
-    # orbit at every level 8,359; the last level stops at the densest free tier
-    assert ex_exact(8, [K3]).nodes_explored < 3000
-    assert ex_exact(8, [complete_graph(4)]).nodes_explored < 10000
+    # orbit at every level 8,359; only orbits that pass the edge floor and
+    # the minimum-degree check are built, over every v <= n and target tried
+    assert ex_exact(8, [K3]).nodes_explored < 200
+    assert ex_exact(8, [complete_graph(4)]).nodes_explored < 200
 
 
 def test_ex_exact_k4_within_budget():
     t0 = time.perf_counter()
     assert ex_exact(8, [complete_graph(4)]).value == 21
     assert time.perf_counter() - t0 < 3.0
+
+
+def test_ex_exact_matches_labelled_branch_and_bound():
+    # max_b_free keeps the least canonical key among the densest labelled
+    # graphs, so its witness is the same class as ex_exact's
+    for n, max_order in [(n, 5) for n in range(6)] + [(6, 4)]:
+        for h in _connected_graphs(max_order):
+            witness, value = max_b_free(n, [h])
+            res = ex_exact(n, [h])
+            assert res.value == value, (n, h)
+            assert res.witness.rows == canonical_form(witness).rows, (n, h)
+
+
+def test_ex_exact_k4_at_cap_within_budget():
+    t0 = time.perf_counter()
+    assert ex_exact(10, [complete_graph(4)]).value == 33
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_ex_exact_small_connected_members_at_cap_within_budget():
+    for h in _connected_graphs(5):
+        t0 = time.perf_counter()
+        res = ex_exact(10, [h])
+        assert time.perf_counter() - t0 < 2.0, h
+        assert res.witness.n == 10 and res.witness.edge_count() == res.value
+        assert not contains_subgraph(res.witness, h)
+
+
+def _connected_graphs(max_order: int) -> list:
+    """Every connected graph on 2..max_order vertices, up to isomorphism."""
+    return [g for level in graph_levels(max_order)[2:] for g in level if len(connected_components(g)) == 1]
 
 
 def test_ex_exact_monotone_in_family():

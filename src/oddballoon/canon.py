@@ -5,7 +5,9 @@ center-rooted subtree code (linear time, exact), everything else goes
 through individualization-refinement (McKay & Piperno, *Practical graph
 isomorphism II*, J. Symb. Comput. 60, 2014).  A forest is never
 isomorphic to a graph with a cycle, so the tag keeps the
-equal-iff-isomorphic contract across both routes.
+equal-iff-isomorphic contract across both routes.  A forest's canonical
+form is decoded from its component codes alone, so a caller that holds
+the codes needs no graph to get it.
 
 The search tree.  A node is an ordered partition of the vertices: the
 degree partition after individualizing a sequence of vertices (the
@@ -48,6 +50,7 @@ transpositions they generate a subgroup of Aut(G), which is what
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from functools import lru_cache
 
 from .graphs import (
@@ -59,7 +62,6 @@ from .graphs import (
     induced,
     is_forest,
     iter_bits,
-    relabel,
 )
 
 CANON_VERTEX_CAP = 16
@@ -67,51 +69,36 @@ CANON_VERTEX_CAP = 16
 Perm = tuple[int, ...]  # perm[v] is the image of vertex v
 
 
-def _subtree_codes(rows: tuple[int, ...], mask: int) -> tuple[int, dict[int, bytes]]:
-    """Root and codes of the tree induced on the vertex mask of the rows.
+def tree_code(rows: tuple[int, ...], mask: int) -> bytes:
+    """Code of the tree induced on the vertex mask of the adjacency rows.
 
     Leaves are stripped layer by layer until one or two centers remain; a
     vertex's code is "(" + its sorted child codes + ")", children being
-    the neighbours stripped before it.  The root is the center with the
-    least code (the lower index on a tie), and each code is that of the
-    vertex's subtree hanging from the root."""
+    the neighbours stripped before it, and the tree's code is the least
+    center-rooted one.  Equal for two trees iff they are isomorphic; a
+    forest's key is its sorted component codes, so the code multiset of a
+    forest without isolated vertices determines it up to isomorphism."""
     kids: dict[int, list[bytes]] = {v: [] for v in iter_bits(mask)}
-    code: dict[int, bytes] = {}
     alive = mask
     while alive.bit_count() > 2:
         layer = [v for v in iter_bits(alive) if (rows[v] & alive).bit_count() == 1]
         for v in layer:
             alive ^= 1 << v
         for v in layer:
-            code[v] = b"(" + b"".join(sorted(kids[v])) + b")"
-            kids[(rows[v] & alive).bit_length() - 1].append(code[v])
-    for v in iter_bits(alive):
-        code[v] = b"(" + b"".join(sorted(kids[v])) + b")"
+            kids[(rows[v] & alive).bit_length() - 1].append(b"(" + b"".join(sorted(kids[v])) + b")")
     if alive & (alive - 1) == 0:
-        return alive.bit_length() - 1, code
+        return b"(" + b"".join(sorted(kids[alive.bit_length() - 1])) + b")"
     a, b = bit_indices(alive)
-    rooted_a = b"(" + b"".join(sorted(kids[a] + [code[b]])) + b")"
-    rooted_b = b"(" + b"".join(sorted(kids[b] + [code[a]])) + b")"
-    if rooted_b < rooted_a:
-        code[b] = rooted_b
-        return b, code
-    code[a] = rooted_a
-    return a, code
+    return min(
+        b"(" + b"".join(sorted(kids[u] + [b"(" + b"".join(sorted(kids[w])) + b")"])) + b")"
+        for u, w in ((a, b), (b, a))
+    )
 
 
-def tree_code(rows: tuple[int, ...], mask: int) -> bytes:
-    """Code of the tree induced on the vertex mask of the adjacency rows:
-    the least center-rooted code.  Equal for two trees iff they are
-    isomorphic; a forest's key is its sorted component codes, so the code
-    multiset of a forest without isolated vertices determines it up to
-    isomorphism."""
-    root, code = _subtree_codes(rows, mask)
-    return code[root]
-
-
-def _forest_key(g: Graph) -> bytes:
-    codes = sorted(tree_code(g.rows, comp) for comp in connected_components(g))
-    return b"T" + g.n.to_bytes(2, "big") + b"|".join(codes)
+def _forest_key(codes: Iterable[bytes]) -> bytes:
+    """Key of the forest with these component codes, isolated vertices included."""
+    ordered = sorted(codes)
+    return b"T" + (sum(map(len, ordered)) // 2).to_bytes(2, "big") + b"|".join(ordered)
 
 
 def _twin_masks(rows: tuple[int, ...]) -> tuple[int, ...]:
@@ -298,7 +285,7 @@ def canonical_key_any(g: Graph) -> bytes:
     Cached: enumeration workloads rebuild the same components constantly.
     """
     if is_forest(g):
-        return _forest_key(g)
+        return _forest_key(tree_code(g.rows, comp) for comp in connected_components(g))
     return _ir_key(g.n, _ir_search(g)[0])
 
 
@@ -316,7 +303,8 @@ def canonical_key_and_generators(g: Graph) -> tuple[bytes, tuple[Perm, ...]]:
     if g.n > CANON_VERTEX_CAP:
         raise CapacityError(f"canonical_key supports n <= {CANON_VERTEX_CAP}")
     if is_forest(g):
-        return _forest_key(g), tuple(_twin_transpositions(_twin_masks(g.rows)))
+        key = _forest_key(tree_code(g.rows, comp) for comp in connected_components(g))
+        return key, tuple(_twin_transpositions(_twin_masks(g.rows)))
     lab, found, twins = _ir_search(g)
     return _ir_key(g.n, lab), (*found, *_twin_transpositions(twins))
 
@@ -339,38 +327,38 @@ def component_key(g: Graph) -> bytes:
     return g.n.to_bytes(2, "big") + b"/".join(keys)
 
 
-def _forest_order(g: Graph) -> list[int]:
-    """Canonical vertex order for a forest: components sorted by code, each
-    traversed from its best center with children in sorted-code order.
-    Equal-coded siblings are interchangeable, so the relabelled graph is a
-    function of the isomorphism class alone."""
-    rows = g.rows
-    comps = []
-    for comp in connected_components(g):
-        root, code = _subtree_codes(rows, comp)
-        order_local: list[int] = []
-
-        def visit(v: int, parent: int) -> None:
-            order_local.append(v)
-            for u in sorted((u for u in iter_bits(rows[v]) if u != parent), key=code.__getitem__):
-                visit(u, v)
-
-        visit(root, -1)
-        comps.append((code[root], order_local))
-    comps.sort(key=lambda t: t[0])
-    out: list[int] = []
-    for _, order_local in comps:
-        out.extend(order_local)
-    return out
+def _forest_from_codes(codes: Iterable[bytes]) -> Graph:
+    """The canonical form of the forest with these component codes:
+    components by (order, code), each vertex followed by its subtrees in
+    code order.  A code spells its vertices in exactly that preorder, so
+    each "(" is the next vertex, a child of the innermost open one."""
+    rows: list[int] = []
+    stack: list[int] = []
+    for code in sorted(codes, key=lambda c: (len(c), c)):
+        for ch in code:
+            if ch == 40:  # "("
+                v = len(rows)
+                if stack:
+                    rows[stack[-1]] |= 1 << v
+                    rows.append(1 << stack[-1])
+                else:
+                    rows.append(0)
+                stack.append(v)
+            else:
+                stack.pop()
+    return _fast_graph(len(rows), tuple(rows))
 
 
 def canonical_form(g: Graph) -> Graph:
     """Canonically labelled copy: isomorphic inputs yield identical outputs.
 
-    Disconnected graphs are handled per component (sorted by key) so unions
-    of symmetric pieces never hit the refinement worst case.
+    A forest is decoded from its component codes.  Other disconnected
+    graphs are handled per component (sorted by key) so unions of
+    symmetric pieces never hit the refinement worst case.
     """
     comps = connected_components(g)
+    if is_forest(g):
+        return _forest_from_codes(tree_code(g.rows, comp) for comp in comps)
     if len(comps) > 1:
         from .graphs import disjoint_union
 
@@ -381,6 +369,4 @@ def canonical_form(g: Graph) -> Graph:
         for _, mask in pieces:
             out = disjoint_union(out, canonical_form(induced(g, mask)))
         return out
-    if is_forest(g):
-        return relabel(g, _forest_order(g))
     return _fast_graph(g.n, _ir_search(g)[0])

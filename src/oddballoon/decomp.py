@@ -3,10 +3,10 @@ its definition-based oracle, and the derived covering family."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations
 
 from .balloon import BalloonSpec, BipartiteTree, bipartition, build_balloon
-from .canon import canonical_form, canonical_key, tree_code
+from .canon import _forest_from_codes, _forest_key, canonical_form, canonical_key, tree_code
 from .embed import contains_subgraph
 from .graphs import (
     CapacityError,
@@ -41,15 +41,17 @@ class GraphFamily:
             g = strip_isolated(g)
         key = canonical_key(g)
         if key not in self._members:
-            self._members[key] = canonical_form(g)
-            if trace is not None:
-                self._traces[key] = trace
+            self._insert(key, canonical_form(g), trace)
+
+    def _insert(self, key: bytes, g: Graph, trace: str | None) -> None:
+        """File g, which must be the canonical form of its class, under its
+        canonical key."""
+        self._members[key] = g
+        if trace is not None:
+            self._traces[key] = trace
 
     def members(self) -> list[Graph]:
-        return [
-            self._members[k]
-            for k in sorted(self._members, key=lambda k: (self._members[k].edge_count(), self._members[k].n, k))
-        ]
+        return [g for *_, g in sorted((g.edge_count(), g.n, k, g) for k, g in self._members.items())]
 
     def trace(self, g: Graph) -> str | None:
         return self._traces.get(canonical_key(strip_isolated(g)))
@@ -70,20 +72,16 @@ class GraphFamily:
         return self.keys() == other.keys()
 
     def prune_non_minimal(self) -> "GraphFamily":
-        """Drop members containing another member as a subgraph."""
+        """Drop members containing another member as a subgraph.  A member
+        with the same vertex and edge counts is contained only if it is
+        isomorphic, so only smaller members are tried."""
         out = GraphFamily()
-        members = self.members()
-        for key, g in [(canonical_key(g), g) for g in members]:
-            minimal = True
-            for h in members:
-                hk = canonical_key(h)
-                if hk == key:
-                    continue
-                if h.n <= g.n and h.edge_count() <= g.edge_count() and contains_subgraph(g, h):
-                    minimal = False
-                    break
-            if minimal:
-                out.add(g, self._traces.get(key))
+        sized = sorted((g.edge_count(), g.n, key, g) for key, g in self._members.items())
+        for e, n, key, g in sized:
+            if not any(
+                he <= e and hn <= n and (he, hn) != (e, n) and contains_subgraph(g, h) for he, hn, _, h in sized
+            ):
+                out._insert(key, g, self._traces.get(key))
         return out
 
 
@@ -165,20 +163,10 @@ def peel_edges(
 
 
 def _independent_subsets(g: Graph) -> list[frozenset[int]]:
-    out = []
-    for mask in range(1 << g.n):
-        ok = True
-        m = mask
-        while m:
-            b = m & -m
-            v = b.bit_length() - 1
-            m ^= b
-            if g.rows[v] & mask:
-                ok = False
-                break
-        if ok:
-            out.append(frozenset(bit_indices(mask)))
-    return out
+    masks = [0]  # extending by each vertex in turn keeps the masks ascending
+    for v, row in enumerate(g.rows):
+        masks += [m | 1 << v for m in masks if not row & m]
+    return [frozenset(bit_indices(m)) for m in masks]
 
 
 def decomposition_family(tree: BipartiteTree, spec: BalloonSpec) -> GraphFamily:
@@ -186,26 +174,25 @@ def decomposition_family(tree: BipartiteTree, spec: BalloonSpec) -> GraphFamily:
     leaf-edges whose edge (or its origin) is of type II; deduplicated and
     isolated vertices stripped.
 
-    Peel outcomes are enumerated per component of the split forest F_S
-    rather than per subset of the eligible edges, which gives the same
-    family:
+    Every peeled piece is an induced subtree of T, so the family is built
+    from codes of vertex sets of T, not from split forests:
 
-    - peeling a pendant edge pv with v a leaf makes pv a separate K2 and
-      takes one leaf from p; peeling an isolated K2 does nothing, so only
-      leaves in components of three or more vertices matter;
-    - leaves on the same parent are twins in F_S, so peeling any k of the
-      eligible ones at p gives isomorphic results: only the count at each
-      parent matters;
+    - for a component C of T - S, the component of the split forest F_S
+      that holds C is T[C + N(C)], each s in N(C) standing for its copy on
+      the edge into C: s has exactly one neighbour in C, as T is a tree;
+    - peeling a leaf v of a piece T[R] on three or more vertices leaves
+      T[R - v] and a K2; peeling an isolated K2 does nothing;
+    - leaves on the same parent are twins, so only the number peeled at
+      each parent matters;
     - the result is a forest, and with isolated vertices stripped its
-      sorted multiset of component codes (`canon.tree_code`) determines it
-      up to isomorphism.
+      sorted component codes (`canon.tree_code`) determine it.
 
-    So each component C contributes one outcome per vector of per-parent
-    counts: the code of C minus the peeled leaves (dropped when a single
-    vertex is left) plus one K2 code per peeled leaf.  The outcome sets
-    are combined by a product deduplicated on the sorted code multiset,
-    and only one representative peel set per new multiset is applied and
-    added, with its trace.
+    So C contributes one outcome per vector of per-parent counts: the code
+    of the unpeeled set R (dropped when one vertex is left) plus one K2
+    code per peeled leaf.  Codes are memoised by R and outcome tables by C;
+    a split set whose multiset of tables was merged before adds nothing.
+    A new member is decoded from its codes and filed under its forest key;
+    only then is F_S built, to name the peeled edges in its trace.
 
     Every member has exactly e(T) edges and no isolated vertex, so a member
     containing another is isomorphic to it: the family is already minimal
@@ -213,61 +200,85 @@ def decomposition_family(tree: BipartiteTree, spec: BalloonSpec) -> GraphFamily:
     if len(tree.edges) > 8:
         raise CapacityError("decomposition_family caps at 8 edges (9 vertices)")
     tg = tree.graph()
-    fam = GraphFamily()
+    rows = tg.rows
+    codes_of: dict[int, bytes] = {}
+    tables: dict[int, tuple[int, dict[tuple[bytes, ...], list[Edge]]]] = {}  # C -> (interned id, table)
+    table_ids: dict[frozenset[tuple[bytes, ...]], int] = {}
+    merged_signatures: set[tuple[int, ...]] = set()
     seen: set[tuple[bytes, ...]] = set()
+    fam = GraphFamily()
     for split_set in _independent_subsets(tg):
-        split_g, origin = split_vertices(tg, split_set)
-        names = ",".join(tree.names[v] for v in sorted(split_set)) or "-"
-        for codes, peel in _peel_outcomes(split_g, origin, spec).items():
+        s_mask = sum(1 << v for v in split_set)
+        minus_s = _fast_graph(tg.n, tuple(0 if s_mask >> v & 1 else r & ~s_mask for v, r in enumerate(rows)))
+        comps = [c for c in connected_components(minus_s) if not c & s_mask]
+        for c in comps:
+            if c not in tables:
+                table = _outcome_table(tg, c, spec, codes_of)
+                tables[c] = (table_ids.setdefault(frozenset(table), len(table_ids)), table)
+        signature = tuple(sorted(tables[c][0] for c in comps))
+        if signature in merged_signatures:
+            continue
+        merged_signatures.add(signature)
+        outcomes: dict[tuple[bytes, ...], list[Edge]] = {(): []}
+        for c in comps:
+            merged: dict[tuple[bytes, ...], list[Edge]] = {}
+            for codes, peel in outcomes.items():
+                for c_codes, c_peel in tables[c][1].items():
+                    merged.setdefault(tuple(sorted(codes + c_codes)), peel + c_peel)
+            outcomes = merged
+        origin_of = None
+        for codes, peel in outcomes.items():
             if codes in seen:
                 continue
             seen.add(codes)
-            result = peel_edges(split_g, peel, origin, spec)
-            peeled = ";".join(f"{a}-{b}" for a, b in peel) or "-"
-            fam.add(result, trace=f"split {{{names}}} peel {{{peeled}}}")
-    e_t = len(tree.edges)
-    for m in fam:
-        assert m.edge_count() == e_t, "splitting/peeling must preserve edge count"
+            if origin_of is None:
+                origin_of = {src: e for e, src in split_vertices(tg, split_set)[1].items()}
+            names = ",".join(tree.names[v] for v in sorted(split_set)) or "-"
+            peeled = ";".join(f"{a}-{b}" for a, b in map(origin_of.get, peel)) or "-"
+            fam._insert(_forest_key(codes), _forest_from_codes(codes), f"split {{{names}}} peel {{{peeled}}}")
+    assert all(m.edge_count() == len(tree.edges) for m in fam), "splitting/peeling must preserve edge count"
     return fam
 
 
 _K2_CODE = tree_code((0b10, 0b01), 0b11)
 
 
-def _peel_outcomes(
-    forest: Graph, origin: dict[Edge, Edge], spec: BalloonSpec
+def _outcome_table(
+    tg: Graph, comp: int, spec: BalloonSpec, codes_of: dict[int, bytes]
 ) -> dict[tuple[bytes, ...], list[Edge]]:
-    """The distinct results of peeling the forest, each as the sorted codes
-    of its components without isolated vertices, mapped to a peel set that
-    gives it (see `decomposition_family`)."""
-    rows = forest.rows
-    outcomes: dict[tuple[bytes, ...], list[Edge]] = {(): []}
-    for comp in connected_components(forest):
-        groups: dict[int, list[int]] = {}  # parent -> its leaves on type II edges
-        if comp.bit_count() > 2:
-            for v in iter_bits(comp):
-                if rows[v].bit_count() == 1:
-                    p = rows[v].bit_length() - 1
-                    if spec.is_type_two(origin[(p, v) if p < v else (v, p)]):
-                        groups.setdefault(p, []).append(v)
-        comp_out: dict[tuple[bytes, ...], list[Edge]] = {}
-        for counts in product(*(range(len(leaves) + 1) for leaves in groups.values())):
-            peel: list[Edge] = []
-            rest = comp
-            for (p, leaves), k in zip(groups.items(), counts):
-                for v in leaves[:k]:
-                    peel.append((p, v) if p < v else (v, p))
-                    rest &= ~(1 << v)
-            codes = [_K2_CODE] * len(peel)
-            if rest.bit_count() > 1:
-                codes.append(tree_code(rows, rest))
-            comp_out.setdefault(tuple(sorted(codes)), peel)
-        merged: dict[tuple[bytes, ...], list[Edge]] = {}
-        for codes, peel in outcomes.items():
-            for comp_codes, comp_peel in comp_out.items():
-                merged.setdefault(tuple(sorted(codes + comp_codes)), peel + comp_peel)
-        outcomes = merged
-    return outcomes
+    """The distinct results of peeling the piece T[C + N(C)], each as the
+    sorted codes of its components without isolated vertices, mapped to the
+    first peel set (edges of T) that gives it.  Leaves go in their order in
+    F_S: those in C by label, then the split copies in edge order."""
+    rows = tg.rows
+    piece = comp
+    for v in iter_bits(comp):
+        piece |= rows[v]
+    groups: dict[int, list[int]] = {}  # parent -> its leaves on type II edges
+    if piece.bit_count() > 2:
+        ends = []  # (position in F_S, parent, leaf)
+        for v in iter_bits(piece):
+            if (rows[v] & piece).bit_count() == 1:
+                p = (rows[v] & piece).bit_length() - 1
+                ends.append(((v,) if comp >> v & 1 else (tg.n, min(p, v), max(p, v)), p, v))
+        for _, p, v in sorted(ends):
+            if spec.is_type_two((p, v)):
+                groups.setdefault(p, []).append(v)
+    states: list[tuple[int, list[Edge]]] = [(piece, [])]  # (unpeeled set, peel set), count vectors in order
+    for p, leaves in groups.items():
+        steps: list[tuple[int, list[Edge]]] = [(0, [])]  # the first k leaves at p, k = 0, 1, ...
+        for v in leaves:
+            steps.append((steps[-1][0] | 1 << v, steps[-1][1] + [(p, v) if p < v else (v, p)]))
+        states = [(rest & ~mask, peel + edges) for rest, peel in states for mask, edges in steps]
+    table: dict[tuple[bytes, ...], list[Edge]] = {}
+    for rest, peel in states:
+        codes = [_K2_CODE] * len(peel)
+        if rest & (rest - 1):
+            if rest not in codes_of:
+                codes_of[rest] = tree_code(rows, rest)
+            codes.append(codes_of[rest])
+        table.setdefault(tuple(sorted(codes)), peel)
+    return table
 
 
 def _embedding_host(side: int, m: Graph) -> Graph:

@@ -130,6 +130,43 @@ def brute_decomposition_family(tree, spec):
     return fam
 
 
+def reference_forest_form(g: Graph) -> Graph:
+    """Canonical form of a forest by the textbook route, independent of
+    `canon`'s codes: each component is rooted at a center of least
+    eccentricity whose rooted (AHU) code is least, walked in preorder with
+    children in code order, and components go by (order, code)."""
+    from oddballoon.graphs import bit_indices, connected_components, relabel
+
+    def rooted(v: int, parent: int) -> str:
+        return "(" + "".join(sorted(rooted(u, v) for u in bit_indices(g.rows[v]) if u != parent)) + ")"
+
+    def eccentricity(v: int) -> int:
+        depth, seen, frontier = 0, 1 << v, 1 << v
+        while True:
+            nxt = 0
+            for u in bit_indices(frontier):
+                nxt |= g.rows[u]
+            frontier = nxt & ~seen
+            if not frontier:
+                return depth
+            seen |= frontier
+            depth += 1
+
+    def walk(v: int, parent: int, out: list[int]) -> list[int]:
+        out.append(v)
+        for u in sorted((u for u in bit_indices(g.rows[v]) if u != parent), key=lambda u: rooted(u, v)):
+            walk(u, v, out)
+        return out
+
+    pieces = []
+    for comp in connected_components(g):
+        verts = bit_indices(comp)
+        radius = min(map(eccentricity, verts))
+        code, root = min((rooted(c, -1), c) for c in verts if eccentricity(c) == radius)
+        pieces.append((len(verts), code, walk(root, -1, [])))
+    return relabel(g, [v for *_, order in sorted(pieces) for v in order])
+
+
 def reference_ex_exact(n: int, family) -> tuple[int, Graph]:
     """ex(n, family) and its witness from every class on n vertices: the
     largest edge count over the last level of graph_levels, and the

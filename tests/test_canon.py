@@ -1,21 +1,27 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import reference_forest_form
 from oddballoon.canon import (
+    _forest_from_codes,
     canonical_form,
     canonical_key,
     canonical_key_and_generators,
     canonical_key_any,
     component_key,
     is_isomorphic,
+    tree_code,
 )
-from oddballoon.generate import graph_levels, random_graph
+from oddballoon.generate import graph_levels, random_graph, trees_up_to
 from oddballoon.graphs import (
     CapacityError,
     Graph,
     complete_bipartite,
     complete_graph,
+    connected_components,
     cycle_graph,
     disjoint_union,
     empty_graph,
@@ -106,6 +112,40 @@ def test_forest_canonical_form_fuzz():
         cf = canonical_form(g)
         assert cf == canonical_form(h)
         assert canonical_form(cf) == cf
+
+
+def _decoded(g):
+    return _forest_from_codes(tree_code(g.rows, comp) for comp in connected_components(g))
+
+
+def test_forest_decoder_on_every_small_tree():
+    # the codes alone give canonical_form's rows, which are the textbook
+    # center-rooted preorder form, for every tree on <= 10 vertices
+    rng = random.Random(10)
+    for level in trees_up_to(10):
+        for t in level:
+            perm = list(range(t.n))
+            rng.shuffle(perm)
+            h = relabel(t, perm)
+            form = canonical_form(h)
+            assert _decoded(h) == form == reference_forest_form(h)
+            assert form == canonical_form(t)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(-1, 15), min_size=0, max_size=16),
+    st.randoms(use_true_random=False),
+)
+def test_forest_decoder_on_random_forests(parents, rng):
+    # vertex v hangs from parents[v] when that is an earlier vertex, else
+    # it starts a new component, so isolated vertices occur
+    n = len(parents)
+    g = from_edges(n, [(p, v) for v, p in enumerate(parents) if 0 <= p < v])
+    perm = list(range(n))
+    rng.shuffle(perm)
+    h = relabel(g, perm)
+    assert _decoded(g) == canonical_form(g) == canonical_form(h) == reference_forest_form(h)
 
 
 def test_forest_vs_cyclic_keys_never_collide():

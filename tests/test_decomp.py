@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from helpers import brute_decomposition_family
 from oddballoon.audits import _tree_from_graph
 from oddballoon.balloon import BalloonSpec, BipartiteTree, load_spec, parse_spec
-from oddballoon.canon import canonical_key, is_isomorphic
+from oddballoon.canon import canonical_form, canonical_key, is_isomorphic
 from oddballoon.decomp import (
     GraphFamily,
     b_family,
@@ -202,8 +202,9 @@ def test_decomposition_capacity():
 
 
 def test_family_budget_at_cap():
-    # every 9-vertex tree (8 edges, the cap) with all lengths 5: about 2 s
-    # on a 2-core VM; enumerating all 2^r peel subsets took 33 s
+    # every 9-vertex tree (8 edges, the cap) with all lengths 5: about 0.4 s
+    # on a 2-core VM (2 s when each split forest was peeled on its own,
+    # 33 s when all 2^r peel subsets were enumerated)
     t0 = time.perf_counter()
     for tg in trees_up_to(9)[9]:
         tree = _tree_from_graph(tg)
@@ -242,6 +243,23 @@ def test_family_matches_brute_larger_trees_and_specs():
             tree.edges,
             spec.lengths,
         )
+
+
+def test_members_are_canonical_forms_under_their_keys():
+    # members are decoded from their component codes and filed under a key
+    # built from them: each must be its own canonical form, filed under its
+    # canonical key; up to the 9-vertex cap with all-3, all-5 and drawn lengths
+    rng = random.Random(8)
+    cases = list(_length_cases(6)) + [load_spec(p) for p in SPECS]
+    for n in (7, 8, 9):
+        for tg in trees_up_to(9)[n]:
+            tree = _tree_from_graph(tg)
+            e = len(tree.edges)
+            for lengths in ((3,) * e, (5,) * e, tuple(rng.choice((3, 5, 7)) for _ in range(e))):
+                cases.append((tree, BalloonSpec(tuple(zip(tree.edges, lengths)))))
+    for tree, spec in cases:
+        for key, m in decomposition_family(tree, spec)._members.items():
+            assert canonical_form(m) == m and canonical_key(m) == key, (tree.edges, spec.lengths)
 
 
 @settings(max_examples=40, deadline=None)

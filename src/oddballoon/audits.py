@@ -8,17 +8,23 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import product
 
 from .balloon import BalloonSpec, BipartiteTree, bipartition
-from .decomp import b_family, decomposition_family, decomposition_oracle, split_vertices
+from .decomp import (
+    GraphFamily,
+    b_family,
+    decomposition_family,
+    decomposition_oracle,
+    split_vertices,
+)
 from .generate import (
     graph_levels,
     random_bipartite_graph,
     random_graph,
-    random_tree,
     trees_up_to,
 )
-from .graphs import Graph, bit_indices, complete_graph, is_bipartite
+from .graphs import Graph, complete_graph, is_bipartite
 from .matching import hall_violating_set, max_matching, min_vertex_cover
 from .oracle import PartitionedGraph, degree_sum_audit, lemma_partition_audit
 
@@ -137,7 +143,6 @@ def covering_audit(max_tree_size: int = 8, seed: int = 0) -> AuditResult:
     bad = []
     checked = 0
     ka_key_cache: dict[int, frozenset] = {}
-    from .decomp import GraphFamily
 
     def ka_keys(a: int) -> frozenset:
         if a not in ka_key_cache:
@@ -171,8 +176,6 @@ def lemma1_audit(max_tree_edges: int = 3, lengths: tuple[int, ...] = (3, 5)) -> 
     """Splitting/peeling family equals the definition-based oracle family,
     for every tree with at most max_tree_edges edges and every assignment of
     the given lengths."""
-    from itertools import product
-
     bad = []
     checked = 0
     for n in range(2, max_tree_edges + 2):

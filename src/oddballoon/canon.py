@@ -59,6 +59,7 @@ from .graphs import (
     _fast_graph,
     bit_indices,
     connected_components,
+    disjoint_union,
     induced,
     is_forest,
     iter_bits,
@@ -314,17 +315,7 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
         return False
     if sorted(g.degrees()) != sorted(h.degrees()):
         return False
-    if g.n > CANON_VERTEX_CAP:
-        raise CapacityError(f"is_isomorphic supports n <= {CANON_VERTEX_CAP}")
-    return canonical_key_any(g) == canonical_key_any(h)
-
-
-def component_key(g: Graph) -> bytes:
-    """Iso-invariant key built per component; valid for any vertex count as
-    long as each component fits the canonical machinery."""
-    comps = connected_components(g)
-    keys = sorted(canonical_key_any(induced(g, mask)) for mask in comps)
-    return g.n.to_bytes(2, "big") + b"/".join(keys)
+    return canonical_key(g) == canonical_key(h)
 
 
 def _forest_from_codes(codes: Iterable[bytes]) -> Graph:
@@ -360,8 +351,6 @@ def canonical_form(g: Graph) -> Graph:
     if is_forest(g):
         return _forest_from_codes(tree_code(g.rows, comp) for comp in comps)
     if len(comps) > 1:
-        from .graphs import disjoint_union
-
         pieces = sorted(
             (canonical_key_any(induced(g, mask)), mask) for mask in comps
         )

@@ -147,8 +147,14 @@ def _cmd_oracle_ex(args) -> int:
 
 def _read_coloring(path: str) -> EdgeColoring:
     data = json.loads(Path(path).read_text(encoding="utf-8"))
-    red = frozenset(tuple(sorted(e)) for e in data["red"])
-    return EdgeColoring(int(data["n"]), red)
+    if not isinstance(data, dict) or not {"n", "red"} <= data.keys():
+        raise ParameterError(f'coloring {path}: expected an object with keys "n" and "red"')
+    if not isinstance(data["n"], int) or not isinstance(data["red"], list):
+        raise ParameterError(f'coloring {path}: "n" must be an integer and "red" a list')
+    for e in data["red"]:
+        if not (isinstance(e, list) and len(e) == 2 and all(isinstance(v, int) for v in e)):
+            raise ParameterError(f"coloring {path}: red edge {e!r} is not a pair of vertices")
+    return EdgeColoring(data["n"], frozenset(tuple(sorted(e)) for e in data["red"]))
 
 
 def _cmd_oracle_f2(args) -> int:

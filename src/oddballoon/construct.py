@@ -8,6 +8,7 @@ from itertools import combinations
 from .balloon import AnalysisReport, BalloonSpec, BipartiteTree, analyze
 from .formulas import _middle_term
 from .graphs import CapacityError, Graph, ParameterError, empty_graph, from_edges, vertex_cap
+from .oracle import max_edges_bounded
 
 
 @dataclass(frozen=True)
@@ -60,8 +61,6 @@ class EdgeColoring:
 def extremal_small_f(k: int) -> Graph:
     """An edge-maximum graph with matching number and maximum degree at most
     k-1, found by the bounded oracle search; canonically least witness."""
-    from .oracle import max_edges_bounded
-
     if k < 1:
         raise ParameterError("extremal_small_f needs k >= 1")
     if k > 5:

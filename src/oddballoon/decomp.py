@@ -5,9 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .balloon import BalloonSpec, BipartiteTree, bipartition, build_balloon
+from .balloon import BalloonSpec, BipartiteTree, balloon_order, bipartition, build_balloon
 from .canon import _forest_from_codes, _forest_key, canonical_form, canonical_key, tree_code
 from .embed import contains_subgraph
+from .generate import small_edge_classes
 from .graphs import (
     CapacityError,
     Graph,
@@ -299,8 +300,6 @@ def _embedding_host(side: int, m: Graph) -> Graph:
 def default_oracle_side(tree: BipartiteTree, spec: BalloonSpec) -> int:
     """Host side size: 4|T_o| when capacity allows, never below the provable
     threshold |T_o| + (largest candidate)."""
-    from .balloon import balloon_order
-
     t_o_n = balloon_order(tree, spec)
     required = t_o_n + 2 * len(tree.edges) + 2
     side = min(4 * t_o_n, vertex_cap() // 2)
@@ -318,8 +317,6 @@ def decomposition_oracle(
     balanced complete bipartite host with the candidate planted in one side
     contains the ballooning; candidates range over all classes with at most
     e(T)+1 edges, the satisfying set is pruned to its minimal members."""
-    from .generate import small_edge_classes
-
     t_o = build_balloon(tree, spec)
     e_t = len(tree.edges)
     required = t_o.n + 2 * e_t + 2

@@ -1,4 +1,17 @@
-"""Isomorphism-deduplicated exhaustive generation and random samplers."""
+"""Isomorphism-deduplicated exhaustive generation and random samplers.
+
+Two growth routines, each keying its candidates with `canon`:
+
+- `_vertex_growth` adds one vertex at a time, one candidate per orbit of
+  the parent's automorphisms, under edge floors and a forbidden family.
+  Callers: `graph_levels` and `oracle.ex_exact`.
+- `edge_growth_classes` adds one edge at a time from K_2 and keeps the
+  classes that pass a per-candidate filter and a per-class predicate.
+  Callers: `small_edge_classes` (the candidates of
+  `decomp.decomposition_oracle`), `trees_up_to` (audits, tests and bench
+  cases), `oracle._connected_bounded_classes` and
+  `oracle.star_matching_max`.
+"""
 from __future__ import annotations
 
 import heapq
@@ -7,11 +20,11 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 from .canon import (
+    CANON_VERTEX_CAP,
     Perm,
     canonical_key,
     canonical_key_and_generators,
     canonical_key_any,
-    component_key,
 )
 from .embed import creates_copy_with_vertex
 from .graphs import (
@@ -122,16 +135,28 @@ def _subset_orbit_reps(n: int, gens: tuple[Perm, ...]) -> list[int] | range:
     return reps
 
 
-def _edge_growth(
-    predicate: Predicate | None,
-    max_edges: int | None,
-    max_nonisolated: int | None,
-    cheap_filter: Predicate | None,
-    connected_only: bool,
+def edge_growth_classes(
+    keep: Predicate | None = None,
+    predicate: Predicate | None = None,
+    connected: bool = False,
+    max_edges: int | None = None,
 ) -> list[Graph]:
-    key_fn = canonical_key_any if connected_only else component_key
+    """All iso-classes of graphs with no isolated vertices and at most
+    max_edges edges (no bound if None) that grow from K_2 by adding an
+    internal edge, a pendant vertex or, unless connected, a disjoint edge,
+    while keep and the predicate hold; in order of edge count, then of
+    discovery.  Without a max_edges bound, the filters alone must make a
+    level empty.
+
+    keep runs on every candidate before it is keyed (use it for bit checks
+    like degree caps); the predicate runs once per class.  Both must be
+    hereditary.  Complete: a graph with no isolated vertices has a K_2
+    component (only when not connected), an edge on a cycle, or a leaf
+    whose deletion leaves no isolated vertex, and deleting it reverses one
+    of the moves.
+    """
     k2 = from_edges(2, [(0, 1)])
-    if cheap_filter is not None and not cheap_filter(k2):
+    if keep is not None and not keep(k2):
         return []
     if predicate is not None and not predicate(k2):
         return []
@@ -151,15 +176,13 @@ def _edge_growth(
                         rows[v] |= 1 << u
                         candidates.append(_fast_graph(g.n, tuple(rows)))
                 candidates.append(add_vertex(g, 1 << u))
-            if not connected_only:
+            if not connected:
                 two = add_vertex(g, 0)
                 candidates.append(add_vertex(two, 1 << g.n))
             for cand in candidates:
-                if max_nonisolated is not None and cand.n > max_nonisolated:
+                if keep is not None and not keep(cand):
                     continue
-                if cheap_filter is not None and not cheap_filter(cand):
-                    continue
-                key = key_fn(cand)
+                key = canonical_key_any(cand)
                 if key in seen:
                     continue
                 seen.add(key)  # a failing class stays skipped: it would fail again
@@ -172,61 +195,27 @@ def _edge_growth(
     return classes
 
 
-def edge_growth_classes(
-    predicate: Predicate | None = None,
-    max_edges: int | None = None,
-    max_nonisolated: int | None = None,
-    cheap_filter: Predicate | None = None,
-) -> list[Graph]:
-    """All iso-classes of graphs with no isolated vertices reachable by
-    repeated edge addition (internal edge, pendant vertex, or fresh disjoint
-    edge) while the hereditary predicate holds.  Terminates when a level is
-    empty; cap with max_edges if the predicate alone does not bound growth.
-
-    cheap_filter runs per candidate before deduplication (use it for bit-ops
-    checks like degree caps); predicate runs once per class.
-    """
-    return _edge_growth(predicate, max_edges, max_nonisolated, cheap_filter, False)
-
-
-def connected_edge_growth_classes(
-    predicate: Predicate | None = None,
-    max_edges: int | None = None,
-    cheap_filter: Predicate | None = None,
-) -> list[Graph]:
-    """All CONNECTED iso-classes reachable while the hereditary predicate
-    holds, growing by an internal edge or a pendant vertex.
-
-    Complete: a connected graph either has a cycle edge whose removal keeps
-    it connected, or is a tree and loses a leaf with its edge; both reversals
-    are the moves above and heredity carries the predicates down.
-    """
-    return _edge_growth(predicate, max_edges, None, cheap_filter, True)
-
-
 @lru_cache(maxsize=32)
 def small_edge_classes(max_edges: int, max_nonisolated: int) -> tuple[Graph, ...]:
     """Cached: every iso-class with 1..max_edges edges, no isolated vertices,
     at most max_nonisolated vertices."""
-    return tuple(edge_growth_classes(None, max_edges, max_nonisolated))
+    return tuple(edge_growth_classes(lambda g: g.n <= max_nonisolated, max_edges=max_edges))
 
 
 @lru_cache(maxsize=8)
 def trees_up_to(max_n: int) -> tuple[tuple[Graph, ...], ...]:
-    """trees[n] = all free trees on n vertices up to isomorphism."""
-    levels: list[tuple[Graph, ...]] = [(), (empty_graph(1),)]
-    for n in range(2, max_n + 1):
-        seen: set[bytes] = set()
-        out = []
-        for t in levels[n - 1]:
-            for v in range(t.n):
-                cand = add_vertex(t, 1 << v)
-                key = canonical_key(cand)
-                if key not in seen:
-                    seen.add(key)
-                    out.append(cand)
-        levels.append(tuple(out))
-    return tuple(levels[: max_n + 1])
+    """trees[n] = all free trees on n vertices up to isomorphism (n <= 16)."""
+    if max_n > CANON_VERTEX_CAP:
+        raise CapacityError(f"trees_up_to supports n <= {CANON_VERTEX_CAP}")
+    levels: list[list[Graph]] = [[] for _ in range(max(max_n, 1) + 1)]
+    levels[1].append(empty_graph(1))
+    if max_n >= 2:
+        trees = edge_growth_classes(
+            lambda g: g.edge_count() < g.n, connected=True, max_edges=max_n - 1
+        )
+        for t in trees:
+            levels[t.n].append(t)
+    return tuple(tuple(level) for level in levels[: max_n + 1])
 
 
 # -- random samplers (explicit rng for reproducible audits) --------------

@@ -14,7 +14,7 @@ import numpy as np
 from .canon import canonical_form, canonical_key, canonical_key_any
 from .embed import contains_subgraph
 from .formulas import chvatal_hanson
-from .generate import _vertex_growth
+from .generate import _vertex_growth, edge_growth_classes
 from .graphs import (
     CapacityError,
     Graph,
@@ -112,12 +112,11 @@ def ex_exact(n: int, family) -> ExResult:
 
 @lru_cache(maxsize=8)
 def _connected_bounded_classes(nu: int, delta: int) -> tuple[Graph, ...]:
-    from .generate import connected_edge_growth_classes
-
     return tuple(
-        connected_edge_growth_classes(
+        edge_growth_classes(
+            lambda g: g.max_degree() <= delta,
             lambda g: max_matching(g) <= nu,
-            cheap_filter=lambda g: g.max_degree() <= delta,
+            connected=True,
         )
     )
 
@@ -129,10 +128,9 @@ def max_edges_bounded(nu: int, delta: int) -> tuple[int, list[Graph]]:
     Edges and matching number are additive over connected components, so it
     suffices to enumerate connected classes exhaustively (both constraints
     are hereditary and monotone under the growth moves) and compose them
-    under the matching budget.
+    under the matching budget.  Witnesses come in canonical form, sorted by
+    vertex count, then by their sorted component keys joined with "/".
     """
-    from .canon import component_key
-
     if nu < 0 or delta < 0:
         raise ParameterError("bounds must be nonnegative")
     if nu == 0 or delta == 0:
@@ -164,10 +162,8 @@ def max_edges_bounded(nu: int, delta: int) -> tuple[int, list[Graph]]:
     value, multis = best[nu]
     if value == 0:
         return 0, [empty_graph(0)]
-    witnesses = [
-        canonical_form(union_all([lookup[k] for k in multi])) for multi in multis
-    ]
-    witnesses.sort(key=component_key)
+    ordered = sorted(multis, key=lambda multi: (sum(lookup[k].n for k in multi), b"/".join(multi)))
+    witnesses = [canonical_form(union_all([lookup[k] for k in multi])) for multi in ordered]
     return value, witnesses
 
 
@@ -181,8 +177,6 @@ def ex_bounded_degree_matching(nu: int, delta: int) -> int:
 def star_matching_max(k: int) -> tuple[int, list[Graph]]:
     """Maximum edges over {S_k, kK_2, S_{k-1} u K_2}-free graphs without
     isolated vertices, with all extremal witnesses up to isomorphism."""
-    from .generate import edge_growth_classes
-
     if k < 2:
         raise ParameterError("star_matching_max needs k >= 2")
     if k > 4:
@@ -201,7 +195,7 @@ def star_matching_max(k: int) -> tuple[int, list[Graph]]:
             for p in patterns
         )
 
-    classes = edge_growth_classes(ok)
+    classes = edge_growth_classes(predicate=ok)
     if not classes:
         return 0, [empty_graph(0)]
     best = max(g.edge_count() for g in classes)

@@ -11,7 +11,6 @@ from oddballoon.canon import (
     canonical_key,
     canonical_key_and_generators,
     canonical_key_any,
-    component_key,
     is_isomorphic,
     tree_code,
 )
@@ -52,7 +51,6 @@ def test_keys_invariant_under_relabeling():
         h = relabel(g, perm)
         assert canonical_key(g) == canonical_key(h)
         assert canonical_form(g) == canonical_form(h)
-        assert component_key(g) == component_key(h)
 
 
 def test_keys_separate_all_small_classes():
@@ -87,11 +85,11 @@ def test_is_isomorphic_and_cap():
     assert is_isomorphic(ok, complete_bipartite(2, 3))
 
 
-def test_component_key_beyond_cap():
-    # 18 vertices in small components: still handled
+def test_canonical_key_any_beyond_cap():
+    # 18 vertices: past the public cap, still keyed by the uncapped entry point
     g = disjoint_union(disjoint_union(complete_graph(6), complete_graph(6)), complete_graph(6))
     h = disjoint_union(disjoint_union(complete_graph(6), complete_graph(6)), complete_graph(6))
-    assert component_key(g) == component_key(h)
+    assert canonical_key_any(g) == canonical_key_any(h)
 
 
 def test_forest_canonical_form_fuzz():

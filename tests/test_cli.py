@@ -140,6 +140,19 @@ def test_oracle_f2_spec_and_coloring(capsys, tmp_path):
     assert json.loads(out)["uncovered"] == 0
 
 
+@pytest.mark.parametrize(
+    "coloring",
+    [{"n": 4}, [[0, 1]], {"n": 4, "red": [[0, 1, 2]]}],
+    ids=["missing-red", "not-an-object", "three-element-edge"],
+)
+def test_oracle_f2_malformed_coloring(capsys, tmp_path, coloring):
+    cfile = tmp_path / "col.json"
+    cfile.write_text(json.dumps(coloring))
+    code, _, err = run(capsys, "oracle", "f2", "Bw", "--coloring", str(cfile))
+    assert code == 1
+    assert err.startswith("error: coloring")
+
+
 def test_construct_coloring_roundtrip(capsys, tmp_path):
     cfile = tmp_path / "ds.json"
     code, out, _ = run(

@@ -116,6 +116,33 @@ def test_graph_levels_counts_free_graphs():
     assert [len(level) for level in graph_levels(8, (cycle_graph(4),))] == [1, 1, 2, 4, 8, 18, 44, 117, 351]
 
 
+def test_edge_growth_counts_match_oeis():
+    from collections import Counter
+
+    from oddballoon.generate import edge_growth_classes, small_edge_classes
+
+    # graphs without isolated vertices by edge count: OEIS A000664
+    counts = Counter(g.edge_count() for g in small_edge_classes(6, 12))
+    assert [counts[m] for m in range(1, 7)] == [1, 2, 5, 11, 26, 68]
+    # connected graphs by edge count: OEIS A002905
+    counts = Counter(g.edge_count() for g in edge_growth_classes(connected=True, max_edges=6))
+    assert [counts[m] for m in range(1, 7)] == [1, 1, 3, 5, 12, 30]
+
+
+def test_trees_up_to_counts_and_cap():
+    import time
+
+    from oddballoon.generate import trees_up_to
+
+    # free trees by vertex count: OEIS A000055
+    sizes = [len(level) for level in trees_up_to(12)]
+    assert sizes == [0, 1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551]
+    start = time.perf_counter()
+    with pytest.raises(CapacityError):
+        trees_up_to(17)
+    assert time.perf_counter() - start < 1.0  # refused before any growth
+
+
 def test_strip_isolated_keeps_graph_without_isolated_vertices():
     p3 = path_graph(3)
     assert strip_isolated(p3) is p3

@@ -11,7 +11,6 @@ from oddballoon.balloon import build_balloon, load_spec
 from oddballoon.canon import canonical_form, is_isomorphic
 from oddballoon.codec import encode_graph6
 from oddballoon.construct import EdgeColoring
-from oddballoon.decomp import GraphFamily
 from oddballoon.embed import contains_subgraph
 from oddballoon.formulas import chvatal_hanson
 from oddballoon.generate import graph_levels, random_graph

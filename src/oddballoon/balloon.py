@@ -6,7 +6,17 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .graphs import CapacityError, Graph, add_edges, from_edges, vertex_cap
+from .graphs import (
+    CapacityError,
+    Graph,
+    _fast_graph,
+    add_edges,
+    bipartition_sides,
+    bit_indices,
+    connected_components,
+    from_edges,
+    vertex_cap,
+)
 from .matching import max_matching, min_vertex_cover
 
 Edge = tuple[int, int]
@@ -84,21 +94,17 @@ def _check_tree(n: int, edges: list[Edge]) -> None:
         raise StructureError("duplicate edge in tree section")
     if len(edges) != n - 1:
         raise StructureError(f"{len(edges)} edges on {n} vertices is not a tree")
-    # connectivity
-    adj: dict[int, set[int]] = {v: set() for v in range(n)}
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for u in adj[v]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    if len(seen) != n:
+    if len(connected_components(_edge_graph(n, edges))) != 1:
         raise StructureError("edge set is disconnected (cycle elsewhere)")
+
+
+def _edge_graph(n: int, edges: list[Edge] | tuple[Edge, ...]) -> Graph:
+    """The graph of a valid edge list, without the vertex cap check."""
+    rows = [0] * n
+    for u, v in edges:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return _fast_graph(n, tuple(rows))
 
 
 def _build(edge_names: list[tuple[str, str]], cycle_items: list[tuple[str, str, int]]):
@@ -209,24 +215,6 @@ def load_spec(path: str | Path) -> tuple[BipartiteTree, BalloonSpec]:
 # -- bipartition and goodness -------------------------------------------
 
 
-def _parity_sides(tree: BipartiteTree) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    color = {0: 0}
-    adj: dict[int, list[int]] = {v: [] for v in range(tree.n)}
-    for u, v in tree.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for u in adj[v]:
-            if u not in color:
-                color[u] = 1 - color[v]
-                stack.append(u)
-    s0 = tuple(v for v in range(tree.n) if color[v] == 0)
-    s1 = tuple(v for v in range(tree.n) if color[v] == 1)
-    return s0, s1
-
-
 def _good_with_side(tree: BipartiteTree, spec: BalloonSpec, side_a) -> list[tuple[Edge, str]]:
     """Violations of goodness when side_a is taken as A (per-edge reading)."""
     a_set = set(side_a)
@@ -255,7 +243,7 @@ def bipartition(
     Ties (|A| = |B|) go to the side that makes the spec good when one does;
     otherwise to the side holding the lexicographically least vertex name.
     """
-    s0, s1 = _parity_sides(tree)
+    s0, s1 = (tuple(bit_indices(side)) for side in bipartition_sides(_edge_graph(tree.n, tree.edges)))
     if len(s0) < len(s1):
         return s0, s1
     if len(s1) < len(s0):

@@ -1,13 +1,20 @@
 """Canonical keys, canonical forms and automorphism generators.
 
-Two routes share the key space via a leading tag byte: forests get a
-center-rooted subtree code (linear time, exact), everything else goes
-through individualization-refinement (McKay & Piperno, *Practical graph
-isomorphism II*, J. Symb. Comput. 60, 2014).  A forest is never
-isomorphic to a graph with a cycle, so the tag keeps the
-equal-iff-isomorphic contract across both routes.  A forest's canonical
-form is decoded from its component codes alone, so a caller that holds
-the codes needs no graph to get it.
+A key is a tag byte, the vertex count in two bytes, and a body; the tag
+names one of three routes, and no two routes ever key isomorphic graphs:
+
+- ``T``, forests: the sorted center-rooted subtree codes of the
+  components (linear time, exact);
+- ``G``, connected graphs with a cycle (and the empty graph): the rows of
+  the copy relabelled by individualization-refinement (McKay & Piperno,
+  *Practical graph isomorphism II*, J. Symb. Comput. 60, 2014);
+- ``U``, disconnected graphs with a cycle: the keys of the components,
+  sorted and each prefixed by its length, so unions of symmetric pieces
+  never hit the refinement worst case.
+
+A key spells out one graph of its class, and that graph is the canonical
+form: `canonical_form` decodes the key, so keys and forms come from one
+labelling.
 
 The search tree.  A node is an ordered partition of the vertices: the
 degree partition after individualizing a sequence of vertices (the
@@ -59,10 +66,10 @@ from .graphs import (
     _fast_graph,
     bit_indices,
     connected_components,
-    disjoint_union,
     induced,
     is_forest,
     iter_bits,
+    union_all,
 )
 
 CANON_VERTEX_CAP = 16
@@ -283,11 +290,17 @@ def _ir_key(n: int, lab: tuple[int, ...]) -> bytes:
 def canonical_key_any(g: Graph) -> bytes:
     """Canonical key without the public vertex cap (internal use).
 
-    Cached: enumeration workloads rebuild the same components constantly.
+    Cached: enumeration workloads rebuild the same components constantly,
+    and a disconnected graph with a cycle is keyed from the cached keys of
+    its components.
     """
-    if is_forest(g):
-        return _forest_key(tree_code(g.rows, comp) for comp in connected_components(g))
-    return _ir_key(g.n, _ir_search(g)[0])
+    comps = connected_components(g)
+    if g.n and g.edge_count() == g.n - len(comps):
+        return _forest_key(tree_code(g.rows, comp) for comp in comps)
+    if len(comps) <= 1:
+        return _ir_key(g.n, _ir_search(g)[0])
+    parts = sorted(canonical_key_any(induced(g, comp)) for comp in comps)
+    return b"U" + g.n.to_bytes(2, "big") + b"".join(len(p).to_bytes(2, "big") + p for p in parts)
 
 
 def canonical_key(g: Graph) -> bytes:
@@ -298,8 +311,8 @@ def canonical_key(g: Graph) -> bytes:
 
 
 def canonical_key_and_generators(g: Graph) -> tuple[bytes, tuple[Perm, ...]]:
-    """canonical_key(g) and automorphisms of g from the same search: the
-    ones it found plus the twin transpositions (forests get only the
+    """canonical_key(g) and automorphisms of g: the ones a search of the
+    whole graph found plus the twin transpositions (forests get only the
     latter).  They generate a subgroup of Aut(g), not always all of it."""
     if g.n > CANON_VERTEX_CAP:
         raise CapacityError(f"canonical_key supports n <= {CANON_VERTEX_CAP}")
@@ -307,7 +320,8 @@ def canonical_key_and_generators(g: Graph) -> tuple[bytes, tuple[Perm, ...]]:
         key = _forest_key(tree_code(g.rows, comp) for comp in connected_components(g))
         return key, tuple(_twin_transpositions(_twin_masks(g.rows)))
     lab, found, twins = _ir_search(g)
-    return _ir_key(g.n, lab), (*found, *_twin_transpositions(twins))
+    key = _ir_key(g.n, lab) if len(connected_components(g)) <= 1 else canonical_key_any(g)
+    return key, (*found, *_twin_transpositions(twins))
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
@@ -340,22 +354,28 @@ def _forest_from_codes(codes: Iterable[bytes]) -> Graph:
     return _fast_graph(len(rows), tuple(rows))
 
 
+def _decode(key: bytes) -> Graph:
+    """The graph a canonical key spells out: a forest from its codes, a
+    connected graph from its rows, a union from its parts in key order."""
+    tag, n, body = key[:1], int.from_bytes(key[1:3], "big"), key[3:]
+    if tag == b"T":
+        return _forest_from_codes(body.split(b"|"))
+    if tag == b"G":
+        w = (n + 7) // 8
+        return _fast_graph(n, tuple(int.from_bytes(body[i * w : (i + 1) * w], "big") for i in range(n)))
+    parts = []
+    while body:
+        size = int.from_bytes(body[:2], "big")
+        parts.append(_decode(body[2 : 2 + size]))
+        body = body[2 + size :]
+    return union_all(parts)
+
+
 def canonical_form(g: Graph) -> Graph:
     """Canonically labelled copy: isomorphic inputs yield identical outputs.
 
-    A forest is decoded from its component codes.  Other disconnected
-    graphs are handled per component (sorted by key) so unions of
-    symmetric pieces never hit the refinement worst case.
+    It is the graph that g's canonical key spells out, so a forest's
+    components come by (order, code) and a disconnected graph with a
+    cycle is the union of its components' forms in the order of their keys.
     """
-    comps = connected_components(g)
-    if is_forest(g):
-        return _forest_from_codes(tree_code(g.rows, comp) for comp in comps)
-    if len(comps) > 1:
-        pieces = sorted(
-            (canonical_key_any(induced(g, mask)), mask) for mask in comps
-        )
-        out = induced(g, 0)
-        for _, mask in pieces:
-            out = disjoint_union(out, canonical_form(induced(g, mask)))
-        return out
-    return _fast_graph(g.n, _ir_search(g)[0])
+    return _decode(canonical_key_any(g))

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .balloon import AnalysisReport, BalloonSpec, BipartiteTree, analyze
+from .balloon import BalloonSpec, BipartiteTree, analyze
 from .formulas import _middle_term
 from .graphs import CapacityError, Graph, ParameterError, empty_graph, from_edges, vertex_cap
 from .oracle import max_edges_bounded
@@ -71,16 +71,11 @@ def extremal_small_f(k: int) -> Graph:
     return witnesses[0]
 
 
-def extremal_candidate(
-    n: int,
-    tree: BipartiteTree,
-    spec: BalloonSpec,
-    analysis: AnalysisReport | None = None,
-) -> LabeledConstruction:
+def extremal_candidate(n: int, tree: BipartiteTree, spec: BalloonSpec) -> LabeledConstruction:
     """The paper-shaped candidate: a-1 universal vertices over a balanced
     complete bipartite graph, with the covering-family-free graph inside the
     universal set and the small extremal piece inside the larger side."""
-    rep = analysis if analysis is not None else analyze(tree, spec)
+    rep = analyze(tree, spec)
     a, k = rep.a, rep.k
     if n < a - 1 + 2 * (k - 1) + 2:
         raise ParameterError(f"n={n} too small to host the construction")
@@ -122,14 +117,9 @@ def extremal_candidate(
     return LabeledConstruction(graph, x, x1, x2, embedded, tuple(x_edges))
 
 
-def coloring_candidate(
-    n: int,
-    tree: BipartiteTree,
-    spec: BalloonSpec,
-    analysis: AnalysisReport | None = None,
-) -> EdgeColoring:
+def coloring_candidate(n: int, tree: BipartiteTree, spec: BalloonSpec) -> EdgeColoring:
     """Color the candidate extremal graph red and everything else blue: red
     edges sit in no red copy, and the blue pairs among the universal
     vertices sit in blue components too small to host the ballooning."""
-    cand = extremal_candidate(n, tree, spec, analysis)
+    cand = extremal_candidate(n, tree, spec)
     return EdgeColoring(n, frozenset(cand.graph.edges()))

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .balloon import BalloonSpec, BipartiteTree, balloon_order, bipartition, build_balloon
-from .canon import _forest_from_codes, _forest_key, canonical_form, canonical_key, tree_code
+from .canon import _decode, _forest_key, canonical_key, tree_code
 from .embed import contains_subgraph
 from .generate import small_edge_classes
 from .graphs import (
@@ -42,12 +42,11 @@ class GraphFamily:
             g = strip_isolated(g)
         key = canonical_key(g)
         if key not in self._members:
-            self._insert(key, canonical_form(g), trace)
+            self._insert(key, trace)
 
-    def _insert(self, key: bytes, g: Graph, trace: str | None) -> None:
-        """File g, which must be the canonical form of its class, under its
-        canonical key."""
-        self._members[key] = g
+    def _insert(self, key: bytes, trace: str | None) -> None:
+        """File the class of this canonical key, in canonical form."""
+        self._members[key] = _decode(key)
         if trace is not None:
             self._traces[key] = trace
 
@@ -82,7 +81,7 @@ class GraphFamily:
             if not any(
                 he <= e and hn <= n and (he, hn) != (e, n) and contains_subgraph(g, h) for he, hn, _, h in sized
             ):
-                out._insert(key, g, self._traces.get(key))
+                out._insert(key, self._traces.get(key))
         return out
 
 
@@ -192,8 +191,9 @@ def decomposition_family(tree: BipartiteTree, spec: BalloonSpec) -> GraphFamily:
     of the unpeeled set R (dropped when one vertex is left) plus one K2
     code per peeled leaf.  Codes are memoised by R and outcome tables by C;
     a split set whose multiset of tables was merged before adds nothing.
-    A new member is decoded from its codes and filed under its forest key;
-    only then is F_S built, to name the peeled edges in its trace.
+    A new member is filed under the forest key of its codes, which the
+    family decodes; only then is F_S built, to name the peeled edges in its
+    trace.
 
     Every member has exactly e(T) edges and no isolated vertex, so a member
     containing another is isomorphic to it: the family is already minimal
@@ -236,7 +236,7 @@ def decomposition_family(tree: BipartiteTree, spec: BalloonSpec) -> GraphFamily:
                 origin_of = {src: e for e, src in split_vertices(tg, split_set)[1].items()}
             names = ",".join(tree.names[v] for v in sorted(split_set)) or "-"
             peeled = ";".join(f"{a}-{b}" for a, b in map(origin_of.get, peel)) or "-"
-            fam._insert(_forest_key(codes), _forest_from_codes(codes), f"split {{{names}}} peel {{{peeled}}}")
+            fam._insert(_forest_key(codes), f"split {{{names}}} peel {{{peeled}}}")
     assert all(m.edge_count() == len(tree.edges) for m in fam), "splitting/peeling must preserve edge count"
     return fam
 

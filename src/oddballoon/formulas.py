@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .balloon import AnalysisReport, BalloonSpec, BipartiteTree, analyze
+from .balloon import BalloonSpec, BipartiteTree, analyze
 from .graphs import ParameterError
 
 
@@ -81,15 +81,10 @@ class TuranReport:
         return "\n".join(lines)
 
 
-def turan_number(
-    n: int,
-    tree: BipartiteTree,
-    spec: BalloonSpec,
-    analysis: AnalysisReport | None = None,
-) -> TuranReport:
+def turan_number(n: int, tree: BipartiteTree, spec: BalloonSpec) -> TuranReport:
     """The closed-form Turan value for the good ballooning, with the middle
     term computed exactly by the small-n oracle."""
-    rep = analysis if analysis is not None else analyze(tree, spec)
+    rep = analyze(tree, spec)
     a, k, k1 = rep.a, rep.k, rep.k1
     base = e_base(n, a)
     middle = _middle_term(tree, spec, a).value

@@ -11,7 +11,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .canon import canonical_form, canonical_key, canonical_key_any
+from .canon import _decode, canonical_form, canonical_key, canonical_key_any
 from .embed import contains_subgraph
 from .formulas import chvatal_hanson
 from .generate import _vertex_growth, edge_growth_classes
@@ -102,7 +102,7 @@ def ex_exact(n: int, family) -> ExResult:
             target -= 1
         value = max(g.edge_count() for g, _ in levels[v].values())
     key = min(k for k, (g, _) in levels[n].items() if g.edge_count() == value)
-    witness = canonical_form(levels[n][key][0])
+    witness = _decode(key)
     elapsed = (time.perf_counter() - t0) * 1000.0
     return ExResult(value, witness, nodes, elapsed)
 
@@ -143,7 +143,6 @@ def max_edges_bounded(nu: int, delta: int) -> tuple[int, list[Graph]]:
 
     # best[r] = (value, all maximizing component multisets) using budget <= r
     best: list[tuple[int, set[tuple[bytes, ...]]]] = [(0, {()})]
-    lookup = {canonical_key_any(g): g for g in connected}
     for r in range(1, nu + 1):
         value, multis = best[r - 1][0], set(best[r - 1][1])
         for v in range(1, r + 1):
@@ -162,9 +161,9 @@ def max_edges_bounded(nu: int, delta: int) -> tuple[int, list[Graph]]:
     value, multis = best[nu]
     if value == 0:
         return 0, [empty_graph(0)]
-    ordered = sorted(multis, key=lambda multi: (sum(lookup[k].n for k in multi), b"/".join(multi)))
-    witnesses = [canonical_form(union_all([lookup[k] for k in multi])) for multi in ordered]
-    return value, witnesses
+    unions = [(union_all(map(_decode, multi)), b"/".join(multi)) for multi in multis]
+    unions.sort(key=lambda u: (u[0].n, u[1]))
+    return value, [canonical_form(g) for g, _ in unions]
 
 
 def ex_bounded_degree_matching(nu: int, delta: int) -> int:

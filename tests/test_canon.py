@@ -147,14 +147,67 @@ def test_forest_decoder_on_random_forests(parents, rng):
 
 
 def test_forest_vs_cyclic_keys_never_collide():
-    from oddballoon.generate import graph_levels
+    from oddballoon.graphs import is_forest
 
     for level in graph_levels(6):
         for g in level:
-            key = canonical_key(g)
-            from oddballoon.graphs import is_forest
+            tag = canonical_key(g)[:1]
+            assert (tag == b"T") == is_forest(g)
+            assert (tag == b"U") == (not is_forest(g) and len(connected_components(g)) > 1)
 
-            assert key.startswith(b"T") == is_forest(g)
+
+def _cyclic_piece(rng: random.Random, n: int, extra: int) -> Graph:
+    """A random connected graph on n vertices with n - 1 + extra edges."""
+    from oddballoon.generate import random_tree
+
+    t = random_tree(rng, n)
+    chords = [(u, v) for u in range(n) for v in range(u + 1, n) if not t.has_edge(u, v)]
+    return from_edges(n, t.edges() + rng.sample(chords, extra))
+
+
+def _shuffled(rng: random.Random, pieces: list[Graph]) -> Graph:
+    g = union_all(rng.sample(pieces, len(pieces)))
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return relabel(g, perm)
+
+
+def test_disconnected_cyclic_graphs_against_networkx():
+    # unions of cyclic pieces, trees and isolated vertices take the U route;
+    # half the pairs are relabellings, half swap the first piece for another
+    # one with the same order and size
+    nx = pytest.importorskip("networkx")
+    from oddballoon.generate import random_tree
+    from oddballoon.graphs import induced
+
+    def to_nx(g):
+        out = nx.empty_graph(g.n)
+        out.add_edges_from(g.edges())
+        return out
+
+    rng = random.Random(2026)
+    same = 0
+    for _ in range(300):
+        extra = rng.randint(1, 3)
+        pieces = [_cyclic_piece(rng, 5, extra)]
+        pieces += [random_tree(rng, rng.randint(1, 3)) for _ in range(rng.randint(0, 2))]
+        pieces += [_cyclic_piece(rng, 3, 1) for _ in range(rng.randint(0, 1))]
+        pieces += [empty_graph(1)] * rng.randint(len(pieces) == 1, 1)
+        g = _shuffled(rng, pieces)
+        if rng.random() < 0.5:
+            pieces[0] = _cyclic_piece(rng, 5, extra)
+        h = _shuffled(rng, pieces)
+        iso = nx.is_isomorphic(to_nx(g), to_nx(h))
+        assert (canonical_key(g) == canonical_key(h)) == iso
+        same += iso
+        for x in (g, h):
+            assert canonical_key(x)[:1] == b"U"
+            comps = sorted((canonical_key(induced(x, c)), c) for c in connected_components(x))
+            form = canonical_form(x)
+            assert form == union_all(canonical_form(induced(x, c)) for _, c in comps)
+            assert canonical_form(form) == form
+            assert canonical_key(form) == canonical_key(x)
+    assert 150 < same < 250
 
 
 def _rook_4x4() -> Graph:

@@ -303,17 +303,74 @@ def type_one_degree(tree: BipartiteTree, spec: BalloonSpec, v: int) -> int:
     return sum(1 for e in tree.edges if v in e and spec.is_type_one(e))
 
 
+def _independent_transversal(tree: BipartiteTree) -> int:
+    """tau(T) = min over independent S of |S| + e(T - S): the least size of
+    an independent set of T_o meeting every cycle of T_o, for any odd
+    lengths.
+
+    Proof.  The blocks of T_o are its balloon cycles C_e, one per tree edge
+    e, so a set meets every cycle iff it meets every C_e.  Let I be an
+    independent set meeting every C_e and S = I & V(T).  S is independent
+    in T, and each edge of T - S has a cycle that I meets only in a new
+    vertex of that cycle; new vertices lie on one cycle each, so
+    |I| >= |S| + e(T - S).  Conversely, for independent S add one new
+    vertex of C_e for each edge e = uv of T - S: its neighbours are u, v
+    (not in S) and new vertices of C_e, so the set stays independent and
+    has |S| + e(T - S) vertices.
+
+    Since S is independent, |S| + e(T - S) = e(T) - sum over S of
+    (deg(v) - 1), so tau(T) is e(T) less a maximum-weight independent set,
+    found by the usual linear DP on the rooted tree.
+    """
+    adj: list[list[int]] = [[] for _ in range(tree.n)]
+    for u, v in tree.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    parent = [-1] * tree.n
+    order = [0]
+    for v in order:  # grows while it is read: a breadth-first order from 0
+        for w in adj[v]:
+            if w != parent[v]:
+                parent[w] = v
+                order.append(w)
+    take = [len(nbrs) - 1 for nbrs in adj]  # best weight below v with v in S
+    skip = [0] * tree.n  # best weight below v with v not in S
+    for v in reversed(order[1:]):
+        p = parent[v]
+        take[p] += skip[v]
+        skip[p] += max(take[v], skip[v])
+    return len(tree.edges) - max(take[0], skip[0])
+
+
 def analyze(tree: BipartiteTree, spec: BalloonSpec) -> AnalysisReport:
     """Parameters of the closed formula for a good spec.
 
     k is the minimum degree over A; u is chosen among the minimum-degree
     A-vertices to minimize its triangle count k1, ties by least index.
+
+    A good spec with tau(T) < a (`_independent_transversal`) is refused with
+    `GoodnessError`.  The base construction, a-1 independent universal
+    vertices over K_{N,N}, contains T_o iff T_o has an independent set of
+    at most a-1 vertices whose removal leaves it bipartite (map that set
+    into the universal vertices and the bipartite rest into K_{N,N} for N
+    >= |T_o|; conversely the preimage of the universal vertices is such a
+    set).  Every cycle of T_o is a balloon cycle, so odd, and T_o minus a
+    set is bipartite iff the set meets every cycle; so the base
+    construction contains T_o iff tau(T) <= a-1.  S = A gives
+    tau(T) <= a, so every returned spec has tau(T) = a.
     """
     report = validate_good(tree, spec)
     if not report.good:
         details = "; ".join(f"{tree.edge_name(e)}: {why}" for e, why in report.violations)
         raise GoodnessError(f"spec is not a good ballooning: {details}")
     side_a = report.side_a
+    tau = _independent_transversal(tree)
+    if tau < len(side_a):
+        raise GoodnessError(
+            f"tau(T) = {tau} < a = {len(side_a)}: T_o has an independent odd-cycle "
+            f"transversal on {tau} vertices, so the base construction (a-1 universal "
+            "vertices over a complete bipartite graph) contains T_o"
+        )
     k = min(tree.degree(v) for v in side_a)
     candidates = [v for v in side_a if tree.degree(v) == k]
     u = min(candidates, key=lambda v: (type_one_degree(tree, spec, v), v))

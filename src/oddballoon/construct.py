@@ -6,9 +6,18 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .balloon import BalloonSpec, BipartiteTree, analyze
-from .formulas import _middle_term
-from .graphs import CapacityError, Graph, ParameterError, empty_graph, from_edges, vertex_cap
-from .oracle import max_edges_bounded
+from .formulas import _middle_term, chvatal_hanson
+from .graphs import (
+    CapacityError,
+    Graph,
+    ParameterError,
+    complete_graph,
+    empty_graph,
+    from_edges,
+    union_all,
+    vertex_cap,
+)
+from .matching import max_matching
 
 
 @dataclass(frozen=True)
@@ -60,15 +69,35 @@ class EdgeColoring:
 
 def extremal_small_f(k: int) -> Graph:
     """An edge-maximum graph with matching number and maximum degree at most
-    k-1, found by the bounded oracle search; canonically least witness."""
+    k-1, on the fewest vertices, built in closed form (Chvatal & Hanson,
+    JCTB 20, 1976; Balachandran & Khare, Discrete Math. 309, 2009).
+
+    A graph on 2d+1 vertices has matching number at most d, so for d = k-1:
+    the empty graph for k = 1, K_2 for k = 2, 2K_k for odd k, and for even
+    k >= 4 the circulant C_{2k-1}(1..(k-2)/2) plus every other edge, from
+    vertex 0, of the Hamiltonian cycle of distance-(k-1) chords (2k-2
+    vertices of degree k-1, one of degree k-2).  The piece is certified
+    with `max_matching` and `max_degree` before it is returned;
+    `oracle.max_edges_bounded` is its exhaustive oracle for small k.
+    """
     if k < 1:
         raise ParameterError("extremal_small_f needs k >= 1")
-    if k > 5:
-        raise CapacityError("extremal_small_f enumerates only for k <= 5")
     if k == 1:
         return empty_graph(0)
-    _, witnesses = max_edges_bounded(k - 1, k - 1)
-    return witnesses[0]
+    if k == 2:
+        piece = from_edges(2, [(0, 1)])
+    elif k % 2 == 1:
+        piece = union_all([complete_graph(k)] * 2)
+    else:
+        n = 2 * k - 1
+        edges = [(v, (v + j) % n) for v in range(n) for j in range(1, k // 2)]
+        cycle = [(i * (k - 1)) % n for i in range(n)]
+        edges += [(cycle[i], cycle[i + 1]) for i in range(0, n - 1, 2)]
+        piece = from_edges(n, edges)
+    d = k - 1
+    if max_matching(piece) > d or piece.max_degree() > d or piece.edge_count() != chvatal_hanson(d, d):
+        raise RuntimeError(f"closed-form f({d},{d}) piece failed its certificate")
+    return piece
 
 
 def extremal_candidate(n: int, tree: BipartiteTree, spec: BalloonSpec) -> LabeledConstruction:

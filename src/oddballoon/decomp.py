@@ -356,9 +356,10 @@ def b_family(tree: BipartiteTree, spec: BalloonSpec) -> GraphFamily:
                 if not _is_covering(m, s_mask, full):
                     continue
                 sub = induced(m, s_mask)
-                # an independent covering below a (possible for balloonings
-                # that are not good) gives an edgeless member; keep its
-                # vertex count so containment stays faithful
+                # an independent covering below a gives an edgeless member;
+                # its vertices, made universal, put T_o in the base
+                # construction, so tau(T) < a and `analyze` refuses the
+                # spec.  Keep its vertex count so containment stays faithful
                 out.add(sub, trace=f"M[S] with |S|={size}", strip=sub.edge_count() > 0)
     return out
 

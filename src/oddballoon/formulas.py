@@ -3,6 +3,7 @@ base construction size, and the full Turan value for a good ballooning."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .balloon import BalloonSpec, BipartiteTree, analyze
 from .graphs import ParameterError
@@ -102,10 +103,13 @@ def turan_number(n: int, tree: BipartiteTree, spec: BalloonSpec) -> TuranReport:
     )
 
 
+@lru_cache(maxsize=64)
 def _middle_term(tree: BipartiteTree, spec: BalloonSpec, a: int):
     """ex(a-1, B) for the covering family B, as an oracle ExResult: the value
     is the middle summand, and the witness, on vertices 0..a-2, is the
-    B-free graph the construction places inside its universal set."""
+    B-free graph the construction places inside its universal set.  Cached,
+    so a `turan_number` and an `extremal_candidate` on one spec build the
+    covering family once."""
     from .decomp import b_family
     from .oracle import ex_exact
 

@@ -130,6 +130,9 @@ def max_edges_bounded(nu: int, delta: int) -> tuple[int, list[Graph]]:
     are hereditary and monotone under the growth moves) and compose them
     under the matching budget.  Witnesses come in canonical form, sorted by
     vertex count, then by their sorted component keys joined with "/".
+
+    This search is the oracle of the closed-form f(k-1, k-1) piece that
+    `construct.extremal_small_f` builds, and of `formulas.chvatal_hanson`.
     """
     if nu < 0 or delta < 0:
         raise ParameterError("bounds must be nonnegative")

@@ -48,6 +48,18 @@ def brute_min_cover(g: Graph) -> int:
     raise AssertionError("unreachable")
 
 
+def brute_tau(n: int, edges) -> int:
+    """min over independent S of |S| + e(T - S), by trying every subset."""
+    best = len(edges)
+    for size in range(1, n + 1):
+        for combo in combinations(range(n), size):
+            s = set(combo)
+            if any(u in s and v in s for u, v in edges):
+                continue
+            best = min(best, size + sum(1 for u, v in edges if u not in s and v not in s))
+    return best
+
+
 def brute_contains(host: Graph, pattern: Graph, anchor=None) -> bool:
     if pattern.n > host.n:
         return False

@@ -199,3 +199,69 @@ def test_goodness_single_sided_violation():
     assert len(rep.violations) == 1
     ((edge, why),) = rep.violations
     assert tree.edge_name(edge) == "v-a" and "not in A" in why
+
+
+def test_tau_below_a_refused():
+    # S = {0, 5} leaves one uncovered edge: tau(T) = 3 < a = 4, and the base
+    # construction contains T_o
+    from oddballoon.construct import extremal_candidate
+    from oddballoon.formulas import turan_number
+
+    tree, s = spec(
+        "tree: 0-1 0-2 0-3 1-4 4-5 5-6 5-7\ncycles: 0-1:5 0-2:3 0-3:3 1-4:5 4-5:5 5-6:5 5-7:5"
+    )
+    assert validate_good(tree, s).good
+    for build in (turan_number, extremal_candidate):
+        with pytest.raises(GoodnessError, match=r"tau\(T\) = 3 < a = 4"):
+            build(40, tree, s)
+
+
+def _trees_up_to_8():
+    from oddballoon.audits import _tree_from_graph
+    from oddballoon.generate import trees_up_to
+
+    levels = trees_up_to(8)
+    return [_tree_from_graph(tg) for n in range(2, 9) for tg in levels[n]]
+
+
+def test_tau_refusals_match_brute():
+    # over the good {3,5} specs on trees with <= 8 vertices, analyze refuses
+    # exactly the specs whose brute-force tau(T) is below a
+    from itertools import product
+
+    from helpers import brute_tau
+    from oddballoon.balloon import BalloonSpec
+
+    refused = expected = 0
+    for tree in _trees_up_to_8():
+        below = brute_tau(tree.n, tree.edges) < len(bipartition(tree)[0])
+        for combo in product((3, 5), repeat=len(tree.edges)):
+            s = BalloonSpec(tuple(zip(tree.edges, combo)))
+            if not validate_good(tree, s).good:
+                continue
+            try:
+                analyze(tree, s)
+            except GoodnessError:
+                refused += 1
+                assert below, (tree.edges, combo)
+            else:
+                assert not below, (tree.edges, combo)
+            expected += below
+    assert refused == expected == 7
+
+
+def test_base_construction_contains_t_o_iff_tau_below_a():
+    # a-1 independent universal vertices over K_{N,N}, N = |T_o|; tau(T)
+    # does not depend on the lengths, so all-triangle balloonings suffice
+    from helpers import brute_tau
+    from oddballoon.balloon import BalloonSpec
+    from oddballoon.embed import contains_subgraph
+
+    for tree in _trees_up_to_8():
+        a = len(bipartition(tree)[0])
+        t_o = build_balloon(tree, BalloonSpec(tuple((e, 3) for e in tree.edges)))
+        x, side = a - 1, t_o.n
+        edges = [(u, v) for u in range(x) for v in range(x, x + 2 * side)]
+        edges += [(u, v) for u in range(x, x + side) for v in range(x + side, x + 2 * side)]
+        host = from_edges(x + 2 * side, edges)
+        assert contains_subgraph(host, t_o) == (brute_tau(tree.n, tree.edges) < a), tree.edges

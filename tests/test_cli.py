@@ -85,6 +85,19 @@ def test_construct_verify_roundtrip(capsys, tmp_path):
     assert "T_o not contained" in out
 
 
+def test_construct_five_triangle_friendship(capsys, tmp_path):
+    # k = 5: the f(4, 4) piece is built in closed form, not searched for
+    spec = tmp_path / "friendship5.spec"
+    spec.write_text("tree: c-a c-b c-d c-e c-f\ncycles: c-a:3 c-b:3 c-d:3 c-e:3 c-f:3\n")
+    code, out, _ = run(capsys, "construct", str(spec), "-n", "24")
+    assert code == 0
+    payload, _ = json.JSONDecoder().raw_decode(out)
+    assert payload["balloon_free"] is True
+    code, out, _ = run(capsys, "turan", str(spec), "-n", "24", "--json")
+    assert code == 0
+    assert payload["edge_count"] == json.loads(out)["total"]
+
+
 def test_construct_dot(capsys, tmp_path):
     dot = tmp_path / "g.dot"
     code, out, _ = run(capsys, "construct", str(SPECS / "k3.spec"), "-n", "8", "--dot", str(dot))

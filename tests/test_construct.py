@@ -15,7 +15,7 @@ from oddballoon.construct import (
 )
 from oddballoon.decomp import GraphFamily, b_family
 from oddballoon.embed import contains_subgraph
-from oddballoon.formulas import chvatal_hanson, e_base, turan_number
+from oddballoon.formulas import abbott_value, chvatal_hanson, e_base, turan_number
 from oddballoon.generate import trees_up_to
 from oddballoon.graphs import (
     CapacityError,
@@ -27,19 +27,46 @@ from oddballoon.graphs import (
     union_all,
 )
 from oddballoon.matching import max_matching
-from oddballoon.oracle import ex_exact
+from oddballoon.oracle import ex_exact, max_edges_bounded
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 
 
 def test_extremal_small_f():
+    assert extremal_small_f(1).n == 0
+    for k in range(2, 13):
+        piece, d = extremal_small_f(k), k - 1
+        assert max_matching(piece) <= d and piece.max_degree() <= d
+        assert piece.edge_count() == chvatal_hanson(d, d) == abbott_value(k)
+        if k >= 3:
+            assert piece.n == -(-2 * piece.edge_count() // d)
     assert is_isomorphic(extremal_small_f(2), from_edges(2, [(0, 1)]))
-    f3 = extremal_small_f(3)
-    assert f3.edge_count() == chvatal_hanson(2, 2) == 6
-    assert is_isomorphic(f3, union_all([complete_graph(3)] * 2))
-    f4 = extremal_small_f(4)
-    assert f4.edge_count() == chvatal_hanson(3, 3) == 10
-    assert max_matching(f4) <= 3 and f4.max_degree() <= 3
+    assert is_isomorphic(extremal_small_f(3), union_all([complete_graph(3)] * 2))
+
+
+def test_extremal_small_f_matches_bounded_search():
+    # the exhaustive search is the closed form's oracle; d = 4 takes over a
+    # minute, so it stops at d = 3
+    for d in range(1, 4):
+        value, witnesses = max_edges_bounded(d, d)
+        piece = extremal_small_f(d + 1)
+        assert piece.edge_count() == value
+        assert any(is_isomorphic(piece, w) for w in witnesses), d
+
+
+@pytest.mark.parametrize("k", [5, 6, 7])
+def test_all_triangle_star_candidate_certified(k):
+    # at the least n whose larger side holds the piece
+    leaves = [f"a{i}" for i in range(k)]
+    tree, spec = parse_spec(
+        "tree: " + " ".join(f"c-{v}" for v in leaves) + "\ncycles: " + " ".join(f"c-{v}:3" for v in leaves)
+    )
+    n = 2 * extremal_small_f(k).n - 1
+    cand = extremal_candidate(n, tree, spec)
+    with pytest.raises(ParameterError):
+        extremal_candidate(n - 1, tree, spec)
+    assert cand.graph.edge_count() == turan_number(n, tree, spec).total
+    assert not contains_subgraph(cand.graph, build_balloon(tree, spec))
 
 
 def test_max_b_free_examples():
@@ -133,8 +160,6 @@ def test_edge_coloring_validation():
 
 
 def test_capacity_errors():
-    with pytest.raises(CapacityError):
-        extremal_small_f(6)
     fam = GraphFamily()
     fam.add(complete_graph(3))
     with pytest.raises(CapacityError):

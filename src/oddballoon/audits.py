@@ -172,7 +172,7 @@ def covering_audit(max_tree_size: int = 8, seed: int = 0) -> AuditResult:
     return AuditResult("covering", checked, bad)
 
 
-def lemma1_audit(max_tree_edges: int = 3, lengths: tuple[int, ...] = (3, 5)) -> AuditResult:
+def lemma1_audit(max_tree_edges: int = 4, lengths: tuple[int, ...] = (3, 5)) -> AuditResult:
     """Splitting/peeling family equals the definition-based oracle family,
     for every tree with at most max_tree_edges edges and every assignment of
     the given lengths."""

@@ -8,7 +8,7 @@ from itertools import combinations
 from .balloon import BalloonSpec, BipartiteTree, balloon_order, bipartition, build_balloon
 from .canon import _decode, _forest_key, canonical_key, tree_code
 from .embed import contains_subgraph
-from .generate import small_edge_classes
+from .generate import edge_growth_classes
 from .graphs import (
     CapacityError,
     Graph,
@@ -313,10 +313,24 @@ def default_oracle_side(tree: BipartiteTree, spec: BalloonSpec) -> int:
 def decomposition_oracle(
     tree: BipartiteTree, spec: BalloonSpec, side: int | None = None
 ) -> GraphFamily:
-    """Definition-based oracle: a candidate belongs to the family iff the
-    balanced complete bipartite host with the candidate planted in one side
-    contains the ballooning; candidates range over all classes with at most
-    e(T)+1 edges, the satisfying set is pruned to its minimal members."""
+    """Definition-based oracle: the minimal graphs M with at most e(T)+1
+    edges such that the balanced complete bipartite host with M planted in
+    one side contains the ballooning.
+
+    Candidates grow by `generate.edge_growth_classes` with the predicate
+    "the host of M is T_o-free", and a class failing it is filed:
+
+    - planting is monotone, M' a subgraph of M gives host(M') a subgraph
+      of host(M), so freeness is hereditary, as the growth requires;
+    - a minimal non-free class has a free reverse-move parent, so it is
+      generated and queried;
+    - levels come in order of edge count, and containment at equal edge
+      count means isomorphism, so every member below a class is filed
+      before the class is reached.  A class containing a member is
+      refused without a host query, and the family is minimal as filed.
+
+    The predicate files as a side effect, which relies on it running once
+    per class."""
     t_o = build_balloon(tree, spec)
     e_t = len(tree.edges)
     required = t_o.n + 2 * e_t + 2
@@ -327,11 +341,19 @@ def decomposition_oracle(
     if 2 * side > vertex_cap():
         raise CapacityError(f"oracle host on {2 * side} vertices exceeds the cap")
     fam = GraphFamily()
-    for cand in small_edge_classes(e_t + 1, 2 * e_t + 2):
-        host = _embedding_host(side, cand)
-        if contains_subgraph(host, t_o):
+    found: list[Graph] = []
+
+    def free(cand: Graph) -> bool:
+        if any(contains_subgraph(cand, m) for m in found):
+            return False
+        if contains_subgraph(_embedding_host(side, cand), t_o):
+            found.append(cand)
             fam.add(cand, trace="oracle")
-    return fam.prune_non_minimal()
+            return False
+        return True
+
+    edge_growth_classes(predicate=free, max_edges=e_t + 1)
+    return fam
 
 
 def b_family(tree: BipartiteTree, spec: BalloonSpec) -> GraphFamily:
@@ -339,7 +361,9 @@ def b_family(tree: BipartiteTree, spec: BalloonSpec) -> GraphFamily:
     coverings of size below a, or the single K_a when no member has one."""
     side_a, _ = bipartition(tree, spec)
     a = len(side_a)
-    fam = decomposition_family(tree, spec)
+    # every member has e(T) >= 1 edges, so for a = 1 none has a covering
+    # below a: the family is not built and the fallback is taken
+    fam = decomposition_family(tree, spec) if a > 1 else GraphFamily()
     if all(min_vertex_cover(m) >= a for m in fam):
         out = GraphFamily()
         # keep K_a whole: for a = 1 it is a single vertex, not the empty graph

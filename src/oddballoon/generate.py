@@ -7,10 +7,11 @@ Two growth routines, each keying its candidates with `canon`:
   Callers: `graph_levels` and `oracle.ex_exact`.
 - `edge_growth_classes` adds one edge at a time from K_2 and keeps the
   classes that pass a per-candidate filter and a per-class predicate.
-  Callers: `small_edge_classes` (the candidates of
-  `decomp.decomposition_oracle`), `trees_up_to` (audits, tests and bench
-  cases), `oracle._connected_bounded_classes` and
-  `oracle.star_matching_max`.
+  Callers: `decomp.decomposition_oracle` (the predicate plants each
+  class and files the first non-free ones), `small_edge_classes` (every
+  class up to a size, for tests; its cache stays because the bench
+  self-test pins it), `trees_up_to` (audits, tests and bench cases),
+  `oracle._connected_bounded_classes` and `oracle.star_matching_max`.
 """
 from __future__ import annotations
 

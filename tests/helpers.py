@@ -142,6 +142,25 @@ def brute_decomposition_family(tree, spec):
     return fam
 
 
+def reference_decomposition_oracle(tree, spec, side=None):
+    """The definition-based oracle as a plain sweep: every class with at
+    most e(T)+1 edges is planted and queried, then the satisfying classes
+    are pruned to their minimal members."""
+    from oddballoon.balloon import build_balloon
+    from oddballoon.decomp import _embedding_host, default_oracle_side
+    from oddballoon.generate import small_edge_classes
+
+    t_o = build_balloon(tree, spec)
+    e_t = len(tree.edges)
+    if side is None:
+        side = default_oracle_side(tree, spec)
+    fam = GraphFamily()
+    for cand in small_edge_classes(e_t + 1, 2 * e_t + 2):
+        if contains_subgraph(_embedding_host(side, cand), t_o):
+            fam.add(cand, trace="oracle")
+    return fam.prune_non_minimal()
+
+
 def reference_forest_form(g: Graph) -> Graph:
     """Canonical form of a forest by the textbook route, independent of
     `canon`'s codes: each component is rooted at a center of least

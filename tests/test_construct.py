@@ -229,15 +229,24 @@ def test_x_piece_matches_labelled_reference():
     assert checked > 100
 
 
-def test_nine_edge_star_refused():
-    # a = 1, branch k > k1: the only refusal is the decomposition's edge cap
+@pytest.mark.parametrize(
+    "lengths, tail",
+    [((5,) * 9, 8 * 8), ((3,) * 8 + (5,), 8 * 8), ((3,) * 9, chvatal_hanson(8, 8))],
+    ids=["all-5", "eight-3-one-5", "all-3"],
+)
+def test_nine_leaf_star_past_the_decomposition_cap(lengths, tail):
+    # a = 1: the covering family is {K_1} without building the decomposition
+    # family (capped at 8 edges), so the middle term is ex(0, {K_1}) = 0
     leaves = [f"a{i}" for i in range(1, 10)]
     tree, spec = parse_spec(
-        "tree: " + " ".join(f"c-{v}" for v in leaves) + "\ncycles: " + " ".join(f"c-{v}:5" for v in leaves)
+        "tree: " + " ".join(f"c-{v}" for v in leaves)
+        + "\ncycles: " + " ".join(f"c-{v}:{ln}" for v, ln in zip(leaves, lengths))
     )
-    rep = analyze(tree, spec)
-    assert (rep.a, rep.branch) == (1, "k_gt_k1")
-    with pytest.raises(CapacityError, match="8 edges"):
-        turan_number(100, tree, spec)
-    with pytest.raises(CapacityError, match="8 edges"):
-        extremal_candidate(100, tree, spec)
+    assert analyze(tree, spec).a == 1
+    for n in range(36, 41):
+        rep = turan_number(n, tree, spec)
+        assert (rep.base, rep.middle, rep.total) == (n * n // 4, 0, n * n // 4 + tail)
+        assert extremal_candidate(n, tree, spec).graph.edge_count() == rep.total
+    # a few ms with triangles; the all-5 balloon has 37 vertices, so n = 36
+    # settles it by vertex count (at n = 37 the query ran 5 minutes unfinished)
+    assert not contains_subgraph(extremal_candidate(36, tree, spec).graph, build_balloon(tree, spec))

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_decomposition_family
+from helpers import brute_decomposition_family, reference_decomposition_oracle
+from oddballoon import decomp
 from oddballoon.audits import _tree_from_graph
-from oddballoon.balloon import BalloonSpec, BipartiteTree, load_spec, parse_spec
+from oddballoon.balloon import BalloonSpec, BipartiteTree, balloon_order, load_spec, parse_spec
 from oddballoon.canon import canonical_form, canonical_key, is_isomorphic
 from oddballoon.decomp import (
     GraphFamily,
@@ -297,6 +298,52 @@ def test_family_matches_oracle_with_longer_cycles():
     for text in cases:
         tree, spec = parse_spec(text)
         assert decomposition_family(tree, spec).iso_equal(decomposition_oracle(tree, spec))
+
+
+def _keyed_traces(fam: GraphFamily) -> list[tuple[bytes, str | None]]:
+    return sorted((canonical_key(m), fam.trace(m)) for m in fam)
+
+
+def _six_vertex_cases():
+    """One draw of lengths from {3,5,7} per 6-vertex tree, redrawn until
+    |T_o| <= 19: these take about 0.2 s each, a 29-vertex T_o took 20 s."""
+    rng = random.Random(0)
+    for tg in trees_up_to(6)[6]:
+        tree = _tree_from_graph(tg)
+        while True:
+            spec = BalloonSpec(tuple((e, rng.choice((3, 5, 7))) for e in tree.edges))
+            if balloon_order(tree, spec) <= 19:
+                break
+        yield tree, spec
+
+
+def test_oracle_matches_reference_sweep():
+    # the grown oracle against the sweep over every class with <= e(T)+1
+    # edges, pruned afterwards: same keys, same traces
+    cases = list(_length_cases(5))
+    assert len(cases) == 70
+    for tree, spec in cases + list(_six_vertex_cases()):
+        assert _keyed_traces(decomposition_oracle(tree, spec)) == _keyed_traces(
+            reference_decomposition_oracle(tree, spec)
+        ), (tree.edges, spec.lengths)
+
+
+def test_oracle_host_builds(monkeypatch):
+    # a class containing a member is refused without a host: 1,417 hosts
+    # over the 70 specs, where planting every class with <= e(T)+1 edges
+    # built 2,502
+    built = 0
+    plant = decomp._embedding_host
+
+    def counting(side, m):
+        nonlocal built
+        built += 1
+        return plant(side, m)
+
+    monkeypatch.setattr(decomp, "_embedding_host", counting)
+    for tree, spec in _length_cases(5):
+        decomposition_oracle(tree, spec)
+    assert built == 1417
 
 
 def test_family_needs_no_pruning():

@@ -232,8 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="exact Turan numbers on small n",
         description="Prints JSON: value, witness_graph6, nodes_explored (candidates "
         "built, one per Aut(parent) orbit of neighbour sets that passes the edge "
-        "floor and minimum-degree checks, over every growth run: each v <= n and "
-        "each edge target tried) and elapsed_ms.",
+        "floor and minimum-degree checks, each distinct candidate once per call) "
+        "and elapsed_ms.",
     )
     pe.add_argument("-n", type=int)
     pe.add_argument("--forbid", nargs="+", help="graph6 strings of the forbidden family")

@@ -59,32 +59,33 @@ def _host_twins(host: Graph) -> tuple[int, ...]:
     return _twin_masks(host.rows)
 
 
-def _degree_mask(host: Graph, d: int) -> int:
+@lru_cache(maxsize=1024)
+def _host_degree_masks(host: Graph) -> tuple[int, ...]:
+    """masks[d] = the host vertices of degree >= d, for d = 0..max degree."""
     degs = _host_degrees(host)
-    mask = 0
+    masks = [0] * (max(degs, default=0) + 1)
     for v, dv in enumerate(degs):
-        if dv >= d:
-            mask |= 1 << v
-    return mask
+        masks[dv] |= 1 << v
+    for d in range(len(masks) - 2, -1, -1):
+        masks[d] |= masks[d + 1]
+    return tuple(masks)
 
 
 def _pattern_order(pattern: Graph, core: list[int], seed: Sequence[int] = ()) -> list[int]:
     """Connectivity-greedy order over core vertices, optionally starting from
-    pre-assigned seed vertices."""
+    pre-assigned seed vertices.  Each step depends only on the vertices
+    already chosen, so the order continues any of its own prefixes that
+    hold the seed."""
+    rows = pattern.rows
     chosen = list(seed)
-    chosen_set = set(chosen)
-    remaining = [v for v in core if v not in chosen_set]
+    chosen_mask = 0
+    for q in chosen:
+        chosen_mask |= 1 << q
+    remaining = [v for v in core if not chosen_mask >> v & 1]
     while remaining:
-        best = max(
-            remaining,
-            key=lambda p: (
-                sum(1 for q in chosen if pattern.has_edge(p, q)),
-                pattern.degree(p),
-                -p,
-            ),
-        )
+        best = max(remaining, key=lambda p: ((rows[p] & chosen_mask).bit_count(), rows[p].bit_count(), -p))
         chosen.append(best)
-        chosen_set.add(best)
+        chosen_mask |= 1 << best
         remaining.remove(best)
     return chosen
 
@@ -114,7 +115,7 @@ class _Plan:
     def orbit(self, d: int) -> int:
         orb = self.orbits[d]
         if orb is None:
-            orb = self.orbits[d] = _stabiliser_orbit(self.pattern, self.order[:d], self.order[d])
+            orb = self.orbits[d] = _stabiliser_orbit(self, d)
         return orb
 
 
@@ -123,9 +124,16 @@ def _plan(pattern: Graph, seed: tuple[int, ...]) -> _Plan:
     return _Plan(pattern, seed)
 
 
-def _stabiliser_orbit(pattern: Graph, fixed: tuple[int, ...], p: int) -> int:
-    """Mask of the vertices q != p that some automorphism fixing `fixed`
-    pointwise sends p to."""
+def _stabiliser_orbit(plan: _Plan, d: int) -> int:
+    """Mask of the vertices q != p = plan.order[d] that some automorphism
+    fixing plan.order[:d] pointwise sends p to.
+
+    The search is exact in any order; it runs on from position d + 1 of
+    the plan itself.  For d >= plan.start, where `_search` asks, that is the
+    order a plan seeded with order[:d + 1] would take: the prefix holds the
+    seed, and the greedy order continues its own prefixes."""
+    pattern = plan.pattern
+    fixed, p = plan.order[:d], plan.order[d]
     rows = pattern.rows
     by_degree: dict[int, int] = {}
     fixed_mask = 0
@@ -133,11 +141,10 @@ def _stabiliser_orbit(pattern: Graph, fixed: tuple[int, ...], p: int) -> int:
         fixed_mask |= 1 << v
     for v, row in enumerate(rows):
         if not fixed_mask >> v & 1:
-            d = row.bit_count()
-            by_degree[d] = by_degree.get(d, 0) | 1 << v
+            deg = row.bit_count()
+            by_degree[deg] = by_degree.get(deg, 0) | 1 << v
     cells = [1 << v for v in fixed] + [mask for _, mask in sorted(by_degree.items())]
     cell = next(c for c in _refine(rows, cells) if c >> p & 1)
-    plan = _plan(pattern, fixed + (p,))
     img = [0] * pattern.n
     for v in fixed:
         img[v] = v
@@ -146,7 +153,7 @@ def _stabiliser_orbit(pattern: Graph, fixed: tuple[int, ...], p: int) -> int:
         img[p] = q
         # a plain search: refuting here would need the orbits of longer
         # prefixes in turn
-        if _search(pattern, plan, img, fixed_mask | 1 << q, refute=False):
+        if _search(pattern, plan, img, fixed_mask | 1 << q, d + 1, refute=False):
             orb |= 1 << q
     return orb
 
@@ -159,17 +166,21 @@ def _seed_reps(pattern: Graph) -> tuple[int, ...]:
     for p in range(pattern.n):
         if pattern.rows[p] and not covered >> p & 1:
             reps.append(p)
-            covered |= _stabiliser_orbit(pattern, (), p)
+            covered |= _stabiliser_orbit(_plan(pattern, (p,)), 0)
     return tuple(reps)
 
 
-def _search(host: Graph, plan: _Plan, img: list[int], used: int, refute: bool = True) -> bool:
+def _search(
+    host: Graph, plan: _Plan, img: list[int], used: int, start: int | None = None, refute: bool = True
+) -> bool:
     """Extend the seeded images img[order[:start]] (their host vertices are
-    `used`) to an embedding; True iff one exists."""
+    `used`; start defaults to plan.start) to an embedding; True iff one
+    exists."""
     order = plan.order
     prev = plan.prev
     host_rows = host.rows
-    start = plan.start
+    if start is None:
+        start = plan.start
     # seeded assignments occupy order[:start]; verify their adjacency holds
     for i in range(start):
         w = img[order[i]]
@@ -179,13 +190,8 @@ def _search(host: Graph, plan: _Plan, img: list[int], used: int, refute: bool = 
     last = len(order) - 1
     if start > last:
         return True
-    by_degree = {0: host.vertices_mask()}
-    degmask = [0] * start
-    for d in plan.degs[start:]:
-        dm = by_degree.get(d)
-        if dm is None:
-            dm = by_degree[d] = _degree_mask(host, d)
-        degmask.append(dm)
+    masks = _host_degree_masks(host)
+    degmask = [0] * start + [masks[d] if d < len(masks) else 0 for d in plan.degs[start:]]
     excl = [0] * plan.pattern.n
     orbits = plan.orbits
     twins: tuple[int, ...] = ()  # fetched on the first failure

@@ -41,6 +41,8 @@ from .graphs import (
 
 Predicate = Callable[[Graph], bool]
 Level = dict[bytes, tuple[Graph, tuple[Perm, ...]]]  # key -> (class, generators)
+Outcome = tuple[bytes, Graph, tuple[Perm, ...]] | None  # (key, candidate, generators)
+Memo = dict[Graph, tuple[Sequence[int], dict[int, Outcome]]]  # parent -> (orbit reps, outcomes)
 
 
 def graph_levels(
@@ -55,16 +57,24 @@ def graph_levels(
     """
     if any(m.n == 0 for m in forbidden):
         raise ValueError("a forbidden member with no vertices excludes every graph")
-    levels, _ = _vertex_growth(max_n, forbidden, [0] * (max_n + 1))
+    levels, _ = _vertex_growth(max_n, forbidden, [0] * (max_n + 1), {})
     return [[g for g, _ in level.values()] for level in levels]
 
 
 def _vertex_growth(
-    max_n: int, members: Sequence[Graph], floor: Sequence[int]
+    max_n: int, members: Sequence[Graph], floor: Sequence[int], memo: Memo
 ) -> tuple[list[Level], int]:
     """levels[v] maps the canonical key of each member-free class on v
     vertices with at least floor[v] edges to a representative and its
     automorphism generators; also returns the number of candidates built.
+
+    memo keeps the work of earlier runs with the same members: for each
+    parent graph, its subset orbit representatives and the outcome of each
+    candidate built from it (None if it contains a member, else its key,
+    the candidate and the candidate's generators).  An outcome depends only
+    on the parent's labelled graph, the subset and the members, so a run
+    that meets the same parent reuses it, and only candidates missing from
+    memo are built and counted.  Pass a fresh dict for a new family.
 
     A parent P gets one candidate add_vertex(P, S) per orbit of the group
     that P's automorphism generators span on the subsets S of its vertices,
@@ -92,17 +102,26 @@ def _vertex_growth(
             low = min(degrees, default=v)
             # old vertices of degree `low` must join S when |S| = low + 1
             lowest = sum(1 << u for u, d in enumerate(degrees) if d == low)
-            for subset in _subset_orbit_reps(v, gens):
+            entry = memo.get(parent)
+            if entry is None:
+                entry = memo[parent] = (_subset_orbit_reps(v, gens), {})
+            reps, outcomes = entry
+            for subset in reps:
                 size = subset.bit_count()
                 if size < need or size > low + 1 or (size > low and lowest & ~subset):
                     continue
-                cand = _append_vertex(parent, subset)
-                nodes += 1
-                if any(creates_copy_with_vertex(cand, m, v) for m in members):
-                    continue
-                key, cand_gens = canonical_key_and_generators(cand)
-                if key not in level:
-                    level[key] = (cand, cand_gens)
+                if subset in outcomes:
+                    outcome = outcomes[subset]
+                else:
+                    cand = _append_vertex(parent, subset)
+                    nodes += 1
+                    outcome = None
+                    if not any(creates_copy_with_vertex(cand, m, v) for m in members):
+                        key, cand_gens = canonical_key_and_generators(cand)
+                        outcome = (key, cand, cand_gens)
+                    outcomes[subset] = outcome
+                if outcome is not None and outcome[0] not in level:
+                    level[outcome[0]] = outcome[1:]
         levels.append(level)
     return levels, nodes
 

@@ -14,7 +14,7 @@ import numpy as np
 from .canon import _decode, canonical_form, canonical_key, canonical_key_any
 from .embed import contains_subgraph
 from .formulas import chvatal_hanson
-from .generate import _vertex_growth, edge_growth_classes
+from .generate import Memo, _vertex_growth, edge_growth_classes
 from .graphs import (
     CapacityError,
     Graph,
@@ -41,9 +41,9 @@ class ExResult:
     candidates built and the time taken.
 
     Candidates are counted one per Aut(parent) orbit of neighbour sets, and
-    only those that pass the edge-floor and minimum-degree checks, summed
-    over every growth run: each vertex count v <= n and each edge target
-    tried at v."""
+    only those that pass the edge-floor and minimum-degree checks, each
+    distinct candidate once per call: the growth runs for every vertex
+    count v <= n and every edge target tried at v share their candidates."""
 
     value: int
     witness: Graph
@@ -62,7 +62,10 @@ def ex_exact(n: int, family) -> ExResult:
     by one until the level is nonempty; the edgeless graph is free, so the
     walk ends by target 0.  ex(v) is the largest edge count there, and that
     level holds every extremal class; the witness is the one with the least
-    canonical key, in canonical form.
+    canonical key, in canonical form.  The runs share one memo of the
+    candidates built (see `generate._vertex_growth`), so a run rebuilds no
+    candidate of an earlier one, and nodes_explored counts each distinct
+    candidate once per call.
 
     family: iterable of Graphs (a GraphFamily works).  Isolated vertices in
     a member count toward its size, as subgraph containment requires.
@@ -88,6 +91,7 @@ def ex_exact(n: int, family) -> ExResult:
         raise CapacityError(f"{cap + 1} vertices exceeds cap {cap}")
     t0 = time.perf_counter()
     value = nodes = 0
+    memo: Memo = {}
     for v in range(n + 1):
         # every edge of a free graph lies in v - 2 of its free vertex-deleted subgraphs
         target = v * (v - 1) // 2 if v <= 2 else v * value // (v - 2)
@@ -95,7 +99,7 @@ def ex_exact(n: int, family) -> ExResult:
             floor = [target] * (v + 1)
             for u in range(v, 0, -1):
                 floor[u - 1] = floor[u] - 2 * floor[u] // u
-            levels, built = _vertex_growth(v, members, floor)
+            levels, built = _vertex_growth(v, members, floor, memo)
             nodes += built
             if levels[v]:
                 break

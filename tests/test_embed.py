@@ -234,12 +234,14 @@ def test_stabiliser_orbits_match_brute_force():
     graphs = [g for g in small_edge_classes(6, 9) if g.n <= 6] + [BOWTIE, complete_bipartite(2, 3)]
     for g in graphs:
         auts = _automorphisms(g)
-        plan = embed._plan(g, ())
-        for d, p in enumerate(plan.order):
-            fixed = plan.order[:d]
-            expected = {a[p] for a in auts if all(a[x] == x for x in fixed)} - {p}
-            assert plan.orbit(d) == sum(1 << q for q in expected), (g.rows, d)
         core = [v for v in range(g.n) if g.rows[v]]
+        # a seeded plan searches its orbits from its own order too
+        for seed in ((), (core[-1],)):
+            plan = embed._plan(g, seed)
+            for d in range(plan.start, len(plan.order)):
+                p, fixed = plan.order[d], plan.order[:d]
+                expected = {a[p] for a in auts if all(a[x] == x for x in fixed)} - {p}
+                assert plan.orbit(d) == sum(1 << q for q in expected), (g.rows, seed, d)
         expected_reps = [p for p in core if min(a[p] for a in auts) == p]
         assert list(embed._seed_reps(g)) == expected_reps, g.rows
 
@@ -262,6 +264,37 @@ def test_orbit_plans_pinned():
     assert len(embed._seed_reps(complete_graph(4))) == 1
     assert len(embed._seed_reps(cycle_graph(5))) == 1
     assert len(embed._seed_reps(BOWTIE)) == 2
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=9).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_greedy_order_continues_its_own_prefixes(pattern_spec, rng):
+    # why a plan's stabiliser orbits are searched in the plan's own order
+    n, bits = pattern_spec
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    pattern = from_edges(n, [p for p, bit in zip(pairs, bits) if bit])
+    core = [v for v in range(n) if pattern.rows[v]]
+    seed = rng.sample(core, rng.randint(0, min(2, len(core))))
+    order = embed._pattern_order(pattern, core, seed)
+    assert order[: len(seed)] == seed and sorted(order) == core
+    for d in range(max(len(seed) - 1, 0), len(order)):
+        assert embed._pattern_order(pattern, core, order[: d + 1]) == order, (pattern.rows, seed, d)
+
+
+def test_host_degree_masks():
+    rng = random.Random(7)
+    for host in [empty_graph(0), empty_graph(3), _embedding_host(4, path_graph(3))] + [
+        random_graph(rng, rng.randint(1, 12), rng.uniform(0.1, 0.9)) for _ in range(30)
+    ]:
+        masks = embed._host_degree_masks(host)
+        assert len(masks) == host.max_degree() + 1
+        for d, mask in enumerate(masks):
+            assert mask == sum(1 << v for v in range(host.n) if host.degree(v) >= d), (host.rows, d)
 
 
 def test_twin_masks():

@@ -103,9 +103,25 @@ def test_ex_exact_invariant_under_relabelling(member_spec, n, rng):
 def test_ex_exact_grows_one_child_per_orbit():
     # every neighbour set of every parent would be 16,723 candidates, every
     # orbit at every level 8,359; only orbits that pass the edge floor and
-    # the minimum-degree check are built, over every v <= n and target tried
+    # the minimum-degree check are built, each once per call however many
+    # of the runs for v <= n and the targets tried meet it
     assert ex_exact(8, [K3]).nodes_explored < 200
     assert ex_exact(8, [complete_graph(4)]).nodes_explored < 200
+
+
+def test_ex_exact_pinned_at_cap():
+    for family, value, graph6 in [
+        ([star_graph(4)], 15, "IJWWKEA_W"),
+        ([K3], 25, "I?B~vrw}?"),
+        ([cycle_graph(4)], 16, "IYQK`?LCw"),
+        ([complete_graph(4)], 33, "I?~vf~}~_"),
+    ]:
+        res = ex_exact(10, family)
+        assert (res.value, encode_graph6(res.witness)) == (value, graph6), family
+    # each distinct candidate is counted once per call (it was 51 and 6,164
+    # when every run rebuilt the candidates of the runs before it)
+    assert ex_exact(8, [K3]).nodes_explored == 11
+    assert ex_exact(10, [star_graph(4)]).nodes_explored == 2578
 
 
 def test_ex_exact_k4_within_budget():

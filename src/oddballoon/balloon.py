@@ -188,6 +188,8 @@ def parse_spec_json(text: str) -> tuple[BipartiteTree, BalloonSpec]:
         raise SpecFormatError(f"invalid JSON: {exc}") from None
     if not isinstance(data, dict) or "tree" not in data or "cycles" not in data:
         raise SpecFormatError("JSON spec needs 'tree' and 'cycles' keys")
+    if not isinstance(data["tree"], list) or not isinstance(data["cycles"], dict):
+        raise SpecFormatError("JSON spec needs 'tree' as a list and 'cycles' as an object")
     edge_names = []
     for pair in data["tree"]:
         if not isinstance(pair, list) or len(pair) != 2:
@@ -198,7 +200,7 @@ def parse_spec_json(text: str) -> tuple[BipartiteTree, BalloonSpec]:
         parts = str(key).split("-")
         if len(parts) != 2:
             raise SpecFormatError(f"bad cycles key {key!r}")
-        if not isinstance(ln, int):
+        if isinstance(ln, bool) or not isinstance(ln, int):
             raise LengthError(f"non-integer length for {key!r}")
         cycle_items.append((parts[0], parts[1], ln))
     return _build(edge_names, cycle_items)

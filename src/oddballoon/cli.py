@@ -30,6 +30,7 @@ DOMAIN_ERRORS = (
     GoodnessError,
     Graph6Error,
     ValueError,
+    OSError,  # a missing or unreadable input file
 )
 
 
@@ -160,8 +161,6 @@ def _read_coloring(path: str) -> EdgeColoring:
 def _cmd_oracle_f2(args) -> int:
     target = Path(args.target)
     if target.suffix in (".spec", ".json"):
-        if not target.exists():
-            raise ParameterError(f"spec file not found: {args.target}")
         tree, spec = load_spec(target)
         h = build_balloon(tree, spec)
     else:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .balloon import BalloonSpec, BipartiteTree, balloon_order, bipartition, build_balloon
+from .balloon import BalloonSpec, BipartiteTree, _norm, balloon_order, bipartition, build_balloon
 from .canon import _decode, _forest_key, canonical_key, tree_code
 from .embed import contains_subgraph
 from .generate import edge_growth_classes
@@ -100,12 +100,8 @@ def split_vertices(g: Graph, split_set: set[int] | frozenset[int]) -> tuple[Grap
     nxt = len(keep)
     edges: list[Edge] = []
     origin: dict[Edge, Edge] = {}
-
-    def norm(a: int, b: int) -> Edge:
-        return (a, b) if a < b else (b, a)
-
     for u, v in g.edges():
-        src = norm(u, v)
+        src = _norm((u, v))
         if u in split:
             a, b = nxt, new_of[v]
             nxt += 1
@@ -114,7 +110,7 @@ def split_vertices(g: Graph, split_set: set[int] | frozenset[int]) -> tuple[Grap
             nxt += 1
         else:
             a, b = new_of[u], new_of[v]
-        e = norm(a, b)
+        e = _norm((a, b))
         edges.append(e)
         origin[e] = src
     return from_edges(nxt, edges), origin
@@ -130,14 +126,10 @@ def peel_edges(
     have degree 1).  Each edge, or its origin under splitting, must be of
     type II.  Eligibility is judged on the input graph; the listed peels are
     applied as one batch."""
-
-    def norm(e: Edge) -> Edge:
-        return e if e[0] < e[1] else (e[1], e[0])
-
     degs = g.degrees()
     plan: list[tuple[Edge, int]] = []  # (edge, leaf end) for single-leaf edges
     for e in peel:
-        e = norm(e)
+        e = _norm(e)
         u, v = e
         if not g.has_edge(u, v):
             raise ParameterError(f"edge {e} is not in the graph")
@@ -261,7 +253,7 @@ def _outcome_table(
         for v in iter_bits(piece):
             if (rows[v] & piece).bit_count() == 1:
                 p = (rows[v] & piece).bit_length() - 1
-                ends.append(((v,) if comp >> v & 1 else (tg.n, min(p, v), max(p, v)), p, v))
+                ends.append(((v,) if comp >> v & 1 else (tg.n, *_norm((p, v))), p, v))
         for _, p, v in sorted(ends):
             if spec.is_type_two((p, v)):
                 groups.setdefault(p, []).append(v)
@@ -269,7 +261,7 @@ def _outcome_table(
     for p, leaves in groups.items():
         steps: list[tuple[int, list[Edge]]] = [(0, [])]  # the first k leaves at p, k = 0, 1, ...
         for v in leaves:
-            steps.append((steps[-1][0] | 1 << v, steps[-1][1] + [(p, v) if p < v else (v, p)]))
+            steps.append((steps[-1][0] | 1 << v, steps[-1][1] + [_norm((p, v))]))
         states = [(rest & ~mask, peel + edges) for rest, peel in states for mask, edges in steps]
     table: dict[tuple[bytes, ...], list[Edge]] = {}
     for rest, peel in states:
@@ -298,24 +290,31 @@ def _embedding_host(side: int, m: Graph) -> Graph:
 
 
 def default_oracle_side(tree: BipartiteTree, spec: BalloonSpec) -> int:
-    """Host side size: 4|T_o| when capacity allows, never below the provable
-    threshold |T_o| + (largest candidate)."""
-    t_o_n = balloon_order(tree, spec)
-    required = t_o_n + 2 * len(tree.edges) + 2
-    side = min(4 * t_o_n, vertex_cap() // 2)
-    if side < required:
-        raise CapacityError(
-            f"oracle host side {side} below the required {required}; raise the vertex cap"
-        )
-    return max(side, required)
+    """Host side s0 = |T_o| + 2e(T) + 2, past which a larger side changes
+    no answer of the oracle.  Raises CapacityError when the host's 2 s0
+    vertices exceed the vertex cap.
+
+    Let the host have sides X and Y of size s >= s0, with M planted in X.
+    An embedding of T_o uses at most |T_o| host vertices.  The X vertices
+    outside V(M) are pairwise twins (each is adjacent to exactly Y), and so
+    are the Y vertices.  M has no isolated vertex and at most e(T) + 1
+    edges, so |V(M)| <= 2e(T) + 2 and the s0 host still has |T_o| spare X
+    vertices and |T_o| Y vertices.  Remapping the used vertices of each
+    twin class injectively into the s0 host's class keeps every edge, so
+    the s0 host contains T_o whenever the larger host does; the converse
+    holds as the s0 host is a subgraph.  Containment is therefore the same
+    for every s >= s0."""
+    side = balloon_order(tree, spec) + 2 * len(tree.edges) + 2
+    if 2 * side > vertex_cap():
+        raise CapacityError(f"oracle host on {2 * side} vertices exceeds the cap {vertex_cap()}")
+    return side
 
 
-def decomposition_oracle(
-    tree: BipartiteTree, spec: BalloonSpec, side: int | None = None
-) -> GraphFamily:
+def decomposition_oracle(tree: BipartiteTree, spec: BalloonSpec) -> GraphFamily:
     """Definition-based oracle: the minimal graphs M with at most e(T)+1
     edges such that the balanced complete bipartite host with M planted in
-    one side contains the ballooning.
+    one side contains the ballooning.  The host side is
+    `default_oracle_side`, past which no larger host changes an answer.
 
     Candidates grow by `generate.edge_growth_classes` with the predicate
     "the host of M is T_o-free", and a class failing it is filed:
@@ -332,14 +331,7 @@ def decomposition_oracle(
     The predicate files as a side effect, which relies on it running once
     per class."""
     t_o = build_balloon(tree, spec)
-    e_t = len(tree.edges)
-    required = t_o.n + 2 * e_t + 2
-    if side is None:
-        side = default_oracle_side(tree, spec)
-    elif side < required:
-        raise CapacityError(f"oracle side {side} below the required {required}")
-    if 2 * side > vertex_cap():
-        raise CapacityError(f"oracle host on {2 * side} vertices exceeds the cap")
+    side = default_oracle_side(tree, spec)
     fam = GraphFamily()
     found: list[Graph] = []
 
@@ -352,7 +344,7 @@ def decomposition_oracle(
             return False
         return True
 
-    edge_growth_classes(predicate=free, max_edges=e_t + 1)
+    edge_growth_classes(predicate=free, max_edges=len(tree.edges) + 1)
     return fam
 
 

@@ -47,6 +47,13 @@ def test_parse_errors():
         spec("cycles: 1-2:3")
     with pytest.raises(StructureError):
         spec("tree: 1-2 1-2\ncycles: 1-2:3")
+    # malformed JSON specs are refused as specs, not with a crash
+    with pytest.raises(SpecFormatError):
+        parse_spec_json(json.dumps({"tree": [["a", "b"]], "cycles": [1]}))
+    with pytest.raises(SpecFormatError):
+        parse_spec_json(json.dumps({"tree": 5, "cycles": {"a-b": 3}}))
+    with pytest.raises(LengthError, match="non-integer"):
+        parse_spec_json(json.dumps({"tree": [["a", "b"]], "cycles": {"a-b": True}}))
 
 
 def test_parse_json_equivalent():

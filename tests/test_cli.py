@@ -202,6 +202,22 @@ def test_domain_error_exit_code(capsys, tmp_path):
     assert "not a tree" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "{missing}.spec"],
+        ["verify", "{missing}.g6", str(SPECS / "k3.spec")],
+        ["oracle", "f2", str(SPECS / "k3.spec"), "--coloring", "{missing}.json"],
+    ],
+    ids=["analyze-spec", "verify-host", "f2-coloring"],
+)
+def test_missing_input_file(capsys, tmp_path, argv):
+    missing = tmp_path / "nope"
+    code, _, err = run(capsys, *(a.format(missing=missing) for a in argv))
+    assert code == 1
+    assert err.startswith("error: ") and "nope" in err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

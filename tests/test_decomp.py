@@ -18,6 +18,7 @@ from oddballoon.decomp import (
     b_family,
     decomposition_family,
     decomposition_oracle,
+    default_oracle_side,
     peel_edges,
     split_vertices,
 )
@@ -154,14 +155,27 @@ def test_oracle_examples():
     assert decomposition_oracle(tree, spec).keys() == keys([path_graph(3), union_all([K2] * 2)])
 
 
-def test_oracle_stable_under_doubled_host():
-    tree, spec = parse_spec("tree: 1-2 2-3\ncycles: 1-2:3 2-3:3")
-    from oddballoon.decomp import default_oracle_side
+def test_oracle_stable_past_default_side():
+    # default_oracle_side is where larger hosts stop changing answers: the
+    # sweep over hosts of twice that side finds the same family on every
+    # tree with <= 4 edges and every {3,5} assignment
+    cases = list(_length_cases(5))
+    assert len(cases) == 70
+    for tree, spec in cases:
+        doubled = reference_decomposition_oracle(tree, spec, side=2 * default_oracle_side(tree, spec))
+        assert decomposition_oracle(tree, spec).keys() == doubled.keys(), (tree.edges, spec.lengths)
 
-    side = default_oracle_side(tree, spec)
-    assert decomposition_oracle(tree, spec, side).keys() == decomposition_oracle(
-        tree, spec, 2 * side
-    ).keys()
+
+def test_default_oracle_side_cap(monkeypatch):
+    tree, spec = parse_spec("tree: 1-2 2-3\ncycles: 1-2:3 2-3:5")
+    side = balloon_order(tree, spec) + 2 * len(tree.edges) + 2
+    monkeypatch.setenv("TB_MAX_VERTICES", str(2 * side))
+    assert default_oracle_side(tree, spec) == side
+    monkeypatch.setenv("TB_MAX_VERTICES", str(2 * side - 1))
+    with pytest.raises(CapacityError):
+        default_oracle_side(tree, spec)
+    with pytest.raises(CapacityError):
+        decomposition_oracle(tree, spec)
 
 
 def test_b_family_examples():

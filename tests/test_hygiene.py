@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "oddballoon"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "oddballoon"
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -27,3 +28,53 @@ def _unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
+
+
+def _private_definitions(tree: ast.Module):
+    """Module-level private functions, classes and constants, dunders aside."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                yield name, node
+
+
+def _references(tree: ast.Module):
+    """(name, line) of every name, attribute, imported name and string."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            yield from ((alias.name, node.lineno) for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value, node.lineno  # monkeypatch.setattr(module, "_name", ...)
+
+
+def test_no_dead_private_helpers():
+    # every private helper of the package is used in src/, tests/ or bench/
+    # outside its own definition
+    trees = {
+        path: ast.parse(path.read_text(encoding="utf-8"))
+        for folder in (SRC, ROOT / "tests", ROOT / "bench")
+        for path in sorted(folder.glob("*.py"))
+    }
+    refs: dict[str, list[tuple[Path, int]]] = {}
+    for path, tree in trees.items():
+        for name, line in _references(tree):
+            refs.setdefault(name, []).append((path, line))
+    dead = [
+        f"{path.name}:{node.lineno} {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name, node in _private_definitions(trees[path])
+        if all(where == path and node.lineno <= line <= node.end_lineno for where, line in refs.get(name, []))
+    ]
+    assert dead == []

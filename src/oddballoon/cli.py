@@ -147,13 +147,16 @@ def _cmd_oracle_ex(args) -> int:
 
 
 def _read_coloring(path: str) -> EdgeColoring:
+    def is_int(v) -> bool:  # JSON true/false load as bool, a subclass of int
+        return isinstance(v, int) and not isinstance(v, bool)
+
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(data, dict) or not {"n", "red"} <= data.keys():
         raise ParameterError(f'coloring {path}: expected an object with keys "n" and "red"')
-    if not isinstance(data["n"], int) or not isinstance(data["red"], list):
+    if not is_int(data["n"]) or not isinstance(data["red"], list):
         raise ParameterError(f'coloring {path}: "n" must be an integer and "red" a list')
     for e in data["red"]:
-        if not (isinstance(e, list) and len(e) == 2 and all(isinstance(v, int) for v in e)):
+        if not (isinstance(e, list) and len(e) == 2 and all(map(is_int, e))):
             raise ParameterError(f"coloring {path}: red edge {e!r} is not a pair of vertices")
     return EdgeColoring(data["n"], frozenset(tuple(sorted(e)) for e in data["red"]))
 

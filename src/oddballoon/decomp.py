@@ -297,8 +297,9 @@ def default_oracle_side(tree: BipartiteTree, spec: BalloonSpec) -> int:
     Let the host have sides X and Y of size s >= s0, with M planted in X.
     An embedding of T_o uses at most |T_o| host vertices.  The X vertices
     outside V(M) are pairwise twins (each is adjacent to exactly Y), and so
-    are the Y vertices.  M has no isolated vertex and at most e(T) + 1
-    edges, so |V(M)| <= 2e(T) + 2 and the s0 host still has |T_o| spare X
+    are the Y vertices.  The oracle plants M with e(T) edges and no
+    isolated vertex, and any M with no isolated vertex and at most e(T) + 1
+    edges has |V(M)| <= 2e(T) + 2, so the s0 host still has |T_o| spare X
     vertices and |T_o| Y vertices.  Remapping the used vertices of each
     twin class injectively into the s0 host's class keeps every edge, so
     the s0 host contains T_o whenever the larger host does; the converse
@@ -316,35 +317,28 @@ def decomposition_oracle(tree: BipartiteTree, spec: BalloonSpec) -> GraphFamily:
     one side contains the ballooning.  The host side is
     `default_oracle_side`, past which no larger host changes an answer.
 
-    Candidates grow by `generate.edge_growth_classes` with the predicate
-    "the host of M is T_o-free", and a class failing it is filed:
+    Only the classes with exactly e(T) edges are planted, by parity:
 
-    - planting is monotone, M' a subgraph of M gives host(M') a subgraph
-      of host(M), so freeness is hereditary, as the growth requires;
-    - a minimal non-free class has a free reverse-move parent, so it is
-      generated and queried;
-    - levels come in order of edge count, and containment at equal edge
-      count means isomorphism, so every member below a class is filed
-      before the class is reached.  A class containing a member is
-      refused without a host query, and the family is minimal as filed.
+    - the host without M's edges is bipartite, so every odd cycle of the
+      host uses an odd number of M-edges;
+    - T_o is the edge-disjoint union of e(T) odd cycles and an embedding is
+      injective on edges, so a copy of T_o uses at least e(T) M-edges and
+      every class with fewer edges is free;
+    - if e(M) = e(T)+1 and the host contains T_o, each cycle uses exactly
+      one M-edge (three would need e(T)+2), so some M-edge f is unused and
+      M - f, stripped of isolated vertices, is already non-free: M is not
+      minimal.
 
-    The predicate files as a side effect, which relies on it running once
-    per class."""
+    The members are therefore exactly the e(T)-edge classes, with no
+    isolated vertex, whose host contains T_o.  Two of them contain each
+    other only if they are isomorphic, so no containment check is needed."""
     t_o = build_balloon(tree, spec)
     side = default_oracle_side(tree, spec)
+    e_t = len(tree.edges)
     fam = GraphFamily()
-    found: list[Graph] = []
-
-    def free(cand: Graph) -> bool:
-        if any(contains_subgraph(cand, m) for m in found):
-            return False
-        if contains_subgraph(_embedding_host(side, cand), t_o):
-            found.append(cand)
+    for cand in edge_growth_classes(max_edges=e_t):
+        if cand.edge_count() == e_t and contains_subgraph(_embedding_host(side, cand), t_o):
             fam.add(cand, trace="oracle")
-            return False
-        return True
-
-    edge_growth_classes(predicate=free, max_edges=len(tree.edges) + 1)
     return fam
 
 

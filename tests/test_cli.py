@@ -155,8 +155,14 @@ def test_oracle_f2_spec_and_coloring(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "coloring",
-    [{"n": 4}, [[0, 1]], {"n": 4, "red": [[0, 1, 2]]}],
-    ids=["missing-red", "not-an-object", "three-element-edge"],
+    [
+        {"n": 4},
+        [[0, 1]],
+        {"n": 4, "red": [[0, 1, 2]]},
+        {"n": True, "red": []},
+        {"n": 4, "red": [[True, False]]},
+    ],
+    ids=["missing-red", "not-an-object", "three-element-edge", "boolean-n", "boolean-endpoints"],
 )
 def test_oracle_f2_malformed_coloring(capsys, tmp_path, coloring):
     cfile = tmp_path / "col.json"

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from helpers import brute_decomposition_family, reference_decomposition_oracle
 from oddballoon import decomp
 from oddballoon.audits import _tree_from_graph
-from oddballoon.balloon import BalloonSpec, BipartiteTree, balloon_order, load_spec, parse_spec
+from oddballoon.balloon import BalloonSpec, BipartiteTree, balloon_order, build_balloon, load_spec, parse_spec
 from oddballoon.canon import canonical_form, canonical_key, is_isomorphic
 from oddballoon.decomp import (
     GraphFamily,
@@ -22,7 +22,8 @@ from oddballoon.decomp import (
     peel_edges,
     split_vertices,
 )
-from oddballoon.generate import trees_up_to
+from oddballoon.embed import contains_subgraph
+from oddballoon.generate import small_edge_classes, trees_up_to
 from oddballoon.graphs import (
     CapacityError,
     ParameterError,
@@ -320,7 +321,8 @@ def _keyed_traces(fam: GraphFamily) -> list[tuple[bytes, str | None]]:
 
 def _six_vertex_cases():
     """One draw of lengths from {3,5,7} per 6-vertex tree, redrawn until
-    |T_o| <= 19: these take about 0.2 s each, a 29-vertex T_o took 20 s."""
+    |T_o| <= 19: these take about 0.05 s each, 27- and 29-vertex T_o take
+    0.4-4 s."""
     rng = random.Random(0)
     for tg in trees_up_to(6)[6]:
         tree = _tree_from_graph(tg)
@@ -343,9 +345,8 @@ def test_oracle_matches_reference_sweep():
 
 
 def test_oracle_host_builds(monkeypatch):
-    # a class containing a member is refused without a host: 1,417 hosts
-    # over the 70 specs, where planting every class with <= e(T)+1 edges
-    # built 2,502
+    # only classes with exactly e(T) edges are planted: 618 hosts over the
+    # 70 specs, where planting every class with <= e(T)+1 edges built 2,502
     built = 0
     plant = decomp._embedding_host
 
@@ -357,7 +358,27 @@ def test_oracle_host_builds(monkeypatch):
     monkeypatch.setattr(decomp, "_embedding_host", counting)
     for tree, spec in _length_cases(5):
         decomposition_oracle(tree, spec)
-    assert built == 1417
+    assert built == 618
+
+
+def test_parity_lemma():
+    # the oracle's parity argument checked apart from the oracle: a host
+    # whose planted class has fewer than e(T) edges is T_o-free, and every
+    # minimal member of the sweep over <= e(T)+1 edges has exactly e(T)
+    cases = list(_length_cases(5))
+    assert len(cases) == 70
+    for tree, spec in cases:
+        e_t = len(tree.edges)
+        t_o = build_balloon(tree, spec)
+        side = default_oracle_side(tree, spec)
+        for cand in small_edge_classes(e_t - 1, 2 * e_t - 2):
+            assert not contains_subgraph(decomp._embedding_host(side, cand), t_o), (tree.edges, spec.lengths)
+    for tree, spec in cases + list(_six_vertex_cases()):
+        e_t = len(tree.edges)
+        assert all(m.edge_count() == e_t for m in reference_decomposition_oracle(tree, spec)), (
+            tree.edges,
+            spec.lengths,
+        )
 
 
 def test_family_needs_no_pruning():

@@ -172,16 +172,16 @@ def covering_audit(max_tree_size: int = 8, seed: int = 0) -> AuditResult:
     return AuditResult("covering", checked, bad)
 
 
-def lemma1_audit(max_tree_edges: int = 4, lengths: tuple[int, ...] = (3, 5)) -> AuditResult:
+def lemma1_audit(max_tree_edges: int = 4) -> AuditResult:
     """Splitting/peeling family equals the definition-based oracle family,
     for every tree with at most max_tree_edges edges and every assignment of
-    the given lengths."""
+    the lengths 3 and 5."""
     bad = []
     checked = 0
     for n in range(2, max_tree_edges + 2):
         for tg in trees_up_to(max_tree_edges + 1)[n]:
             tree = _tree_from_graph(tg)
-            for combo in product(lengths, repeat=len(tree.edges)):
+            for combo in product((3, 5), repeat=len(tree.edges)):
                 spec = _spec_with_lengths(tree, dict(zip(tree.edges, combo)))
                 fam = decomposition_family(tree, spec)
                 orc = decomposition_oracle(tree, spec)
@@ -191,22 +191,23 @@ def lemma1_audit(max_tree_edges: int = 4, lengths: tuple[int, ...] = (3, 5)) -> 
     return AuditResult("lemma1", checked, bad)
 
 
-def partition_audit(samples: int = 10_000, seed: int = 0, max_n: int = 12, max_k: int = 4) -> AuditResult:
-    """Random partitioned graphs: wherever the premises hold, the partitioned
-    inequality must hold.  Counterexamples are premise-satisfying violations;
-    the result also reports how many samples satisfied the premises."""
+def partition_audit(samples: int = 10_000, seed: int = 0) -> AuditResult:
+    """Random partitioned graphs on at most 12 vertices, with k1 <= k <= 4:
+    wherever the premises hold, the partitioned inequality must hold.
+    Counterexamples are premise-satisfying violations; the result also
+    reports how many samples satisfied the premises."""
     rng = random.Random(seed)
     bad = []
     premise_hits = 0
     for _ in range(samples):
-        n = rng.randint(0, max_n)
+        n = rng.randint(0, 12)
         g = random_graph(rng, n, rng.uniform(0.05, 0.5))
         verts = list(range(n))
         rng.shuffle(verts)
         cut = rng.randint(0, n)
         pg = PartitionedGraph(g, tuple(sorted(verts[:cut])), tuple(sorted(verts[cut:])))
-        k1 = rng.randint(0, max_k)
-        k = rng.randint(k1, max_k)
+        k1 = rng.randint(0, 4)
+        k = rng.randint(k1, 4)
         res = lemma_partition_audit(pg, k, k1)
         if res.premises_hold:
             premise_hits += 1

@@ -194,6 +194,8 @@ def parse_spec_json(text: str) -> tuple[BipartiteTree, BalloonSpec]:
     for pair in data["tree"]:
         if not isinstance(pair, list) or len(pair) != 2:
             raise SpecFormatError(f"bad tree entry {pair!r}")
+        if any(isinstance(v, bool) or not isinstance(v, (str, int)) for v in pair):
+            raise SpecFormatError(f"tree entry {pair!r}: vertices must be strings or integers")
         edge_names.append((str(pair[0]), str(pair[1])))
     cycle_items = []
     for key, ln in data["cycles"].items():

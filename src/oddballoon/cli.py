@@ -16,7 +16,7 @@ from .balloon import (
     validate_good,
 )
 from .codec import Graph6Error, decode_graph6, encode_graph6, export_dot
-from .construct import EdgeColoring, extremal_candidate
+from .construct import EdgeColoring, coloring_candidate, extremal_candidate
 from .decomp import b_family, decomposition_family, decomposition_oracle
 from .embed import contains_subgraph
 from .formulas import turan_number
@@ -105,7 +105,7 @@ def _cmd_construct(args) -> int:
         Path(args.dot).write_text(export_dot(cand.graph), encoding="utf-8")
         print(f"wrote {args.dot}")
     if args.coloring_out:
-        coloring = EdgeColoring(args.n, frozenset(cand.graph.edges()))
+        coloring = coloring_candidate(args.n, tree, spec)
         blob = {"n": coloring.n, "red": [list(e) for e in sorted(coloring.red)]}
         Path(args.coloring_out).write_text(json.dumps(blob) + "\n", encoding="utf-8")
         print(f"wrote {args.coloring_out}")
@@ -153,8 +153,8 @@ def _read_coloring(path: str) -> EdgeColoring:
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(data, dict) or not {"n", "red"} <= data.keys():
         raise ParameterError(f'coloring {path}: expected an object with keys "n" and "red"')
-    if not is_int(data["n"]) or not isinstance(data["red"], list):
-        raise ParameterError(f'coloring {path}: "n" must be an integer and "red" a list')
+    if not is_int(data["n"]) or data["n"] < 0 or not isinstance(data["red"], list):
+        raise ParameterError(f'coloring {path}: "n" must be a nonnegative integer and "red" a list')
     for e in data["red"]:
         if not (isinstance(e, list) and len(e) == 2 and all(map(is_int, e))):
             raise ParameterError(f"coloring {path}: red edge {e!r} is not a pair of vertices")

@@ -55,6 +55,8 @@ class EdgeColoring:
     red: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
+        if self.n < 0:
+            raise ParameterError(f"coloring needs n >= 0, got {self.n}")
         for u, v in self.red:
             if not (0 <= u < v < self.n):
                 raise ParameterError(f"bad red edge ({u},{v})")

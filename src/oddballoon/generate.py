@@ -6,12 +6,12 @@ Two growth routines, each keying its candidates with `canon`:
   the parent's automorphisms, under edge floors and a forbidden family.
   Callers: `graph_levels` and `oracle.ex_exact`.
 - `edge_growth_classes` adds one edge at a time from K_2 and keeps the
-  classes that pass a per-candidate filter and a per-class predicate.
-  Callers: `decomp.decomposition_oracle` (the predicate plants each
-  class and files the first non-free ones), `small_edge_classes` (every
-  class up to a size, for tests; its cache stays because the bench
-  self-test pins it), `trees_up_to` (audits, tests and bench cases),
-  `oracle._connected_bounded_classes` and `oracle.star_matching_max`.
+  candidates that pass one isomorphism-invariant filter.  Callers:
+  `decomp.decomposition_oracle` (no filter, up to e(T) edges),
+  `small_edge_classes` (every class up to a size, for tests; its cache
+  stays because the bench self-test pins it), `trees_up_to` (audits,
+  tests and bench cases), `oracle._connected_bounded_classes` and
+  `oracle.star_matching_max`.
 """
 from __future__ import annotations
 
@@ -39,7 +39,7 @@ from .graphs import (
     vertex_cap,
 )
 
-Predicate = Callable[[Graph], bool]
+Filter = Callable[[Graph], bool]
 Level = dict[bytes, tuple[Graph, tuple[Perm, ...]]]  # key -> (class, generators)
 Outcome = tuple[bytes, Graph, tuple[Perm, ...]] | None  # (key, candidate, generators)
 Memo = dict[Graph, tuple[Sequence[int], dict[int, Outcome]]]  # parent -> (orbit reps, outcomes)
@@ -155,30 +155,24 @@ def _subset_orbit_reps(n: int, gens: tuple[Perm, ...]) -> list[int] | range:
     return reps
 
 
-def edge_growth_classes(
-    keep: Predicate | None = None,
-    predicate: Predicate | None = None,
-    connected: bool = False,
-    max_edges: int | None = None,
-) -> list[Graph]:
+def edge_growth_classes(keep: Filter | None = None, max_edges: int | None = None) -> list[Graph]:
     """All iso-classes of graphs with no isolated vertices and at most
     max_edges edges (no bound if None) that grow from K_2 by adding an
-    internal edge, a pendant vertex or, unless connected, a disjoint edge,
-    while keep and the predicate hold; in order of edge count, then of
-    discovery.  Without a max_edges bound, the filters alone must make a
-    level empty.
+    internal edge, a pendant vertex or a disjoint edge, through classes
+    that keep accepts; in order of edge count, then of discovery.  Without
+    a max_edges bound, keep alone must make a level empty.
 
-    keep runs on every candidate before it is keyed (use it for bit checks
-    like degree caps); the predicate runs once per class.  Both must be
-    hereditary.  Complete: a graph with no isolated vertices has a K_2
-    component (only when not connected), an edge on a cycle, or a leaf
-    whose deletion leaves no isolated vertex, and deleting it reverses one
-    of the moves.
+    keep runs on every candidate before it is keyed, so it must be an
+    isomorphism invariant.  Complete for any keep that survives the
+    deletion below: a graph with no isolated vertices other than K_2 has an
+    edge on a cycle, a leaf whose deletion leaves no isolated vertex, or a
+    K_2 component, and deleting the edge, the leaf or, failing both, the
+    component reverses one of the moves.  Monotone conditions (degree and
+    matching bounds, freeness, vertex caps) survive it, and so does
+    connectivity: a connected graph other than K_2 has no K_2 component.
     """
     k2 = from_edges(2, [(0, 1)])
     if keep is not None and not keep(k2):
-        return []
-    if predicate is not None and not predicate(k2):
         return []
     classes: list[Graph] = [k2]
     level = [k2]
@@ -196,19 +190,14 @@ def edge_growth_classes(
                         rows[v] |= 1 << u
                         candidates.append(_fast_graph(g.n, tuple(rows)))
                 candidates.append(add_vertex(g, 1 << u))
-            if not connected:
-                two = add_vertex(g, 0)
-                candidates.append(add_vertex(two, 1 << g.n))
+            candidates.append(add_vertex(add_vertex(g, 0), 1 << g.n))
             for cand in candidates:
                 if keep is not None and not keep(cand):
                     continue
                 key = canonical_key_any(cand)
-                if key in seen:
-                    continue
-                seen.add(key)  # a failing class stays skipped: it would fail again
-                if predicate is not None and not predicate(cand):
-                    continue
-                nxt.append(cand)
+                if key not in seen:
+                    seen.add(key)
+                    nxt.append(cand)
         classes.extend(nxt)
         level = nxt
         m += 1
@@ -230,10 +219,9 @@ def trees_up_to(max_n: int) -> tuple[tuple[Graph, ...], ...]:
     levels: list[list[Graph]] = [[] for _ in range(max(max_n, 1) + 1)]
     levels[1].append(empty_graph(1))
     if max_n >= 2:
-        trees = edge_growth_classes(
-            lambda g: g.edge_count() < g.n, connected=True, max_edges=max_n - 1
-        )
-        for t in trees:
+        # from a tree only the pendant move keeps e = n - 1, so these are
+        # exactly the trees
+        for t in edge_growth_classes(lambda g: g.edge_count() == g.n - 1, max_n - 1):
             levels[t.n].append(t)
     return tuple(tuple(level) for level in levels[: max_n + 1])
 

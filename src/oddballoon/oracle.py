@@ -20,12 +20,12 @@ from .graphs import (
     Graph,
     ParameterError,
     bit_indices,
+    connected_components,
     empty_graph,
     from_edges,
     induced,
     iter_bits,
     star_graph,
-    strip_isolated,
     union_all,
     vertex_cap,
 )
@@ -116,13 +116,10 @@ def ex_exact(n: int, family) -> ExResult:
 
 @lru_cache(maxsize=8)
 def _connected_bounded_classes(nu: int, delta: int) -> tuple[Graph, ...]:
-    return tuple(
-        edge_growth_classes(
-            lambda g: g.max_degree() <= delta,
-            lambda g: max_matching(g) <= nu,
-            connected=True,
-        )
-    )
+    def keep(g: Graph) -> bool:  # cheapest check first
+        return g.max_degree() <= delta and len(connected_components(g)) == 1 and max_matching(g) <= nu
+
+    return tuple(edge_growth_classes(keep))
 
 
 def max_edges_bounded(nu: int, delta: int) -> tuple[int, list[Graph]]:
@@ -187,13 +184,7 @@ def star_matching_max(k: int) -> tuple[int, list[Graph]]:
         raise ParameterError("star_matching_max needs k >= 2")
     if k > 4:
         raise CapacityError("star_matching_max enumerates only for k <= 4")
-    k2 = from_edges(2, [(0, 1)])
-    patterns = [
-        star_graph(k),
-        union_all([k2] * k),
-        union_all([star_graph(k - 1), k2]),
-    ]
-    patterns = [strip_isolated(p) for p in patterns]
+    patterns = partition_premise_patterns(k, k - 1)  # S_k, S_{k-1} u K_2, kK_2
 
     def ok(g: Graph) -> bool:
         return not any(
@@ -201,7 +192,7 @@ def star_matching_max(k: int) -> tuple[int, list[Graph]]:
             for p in patterns
         )
 
-    classes = edge_growth_classes(predicate=ok)
+    classes = edge_growth_classes(ok)
     if not classes:
         return 0, [empty_graph(0)]
     best = max(g.edge_count() for g in classes)

@@ -67,6 +67,17 @@ def test_parse_json_equivalent():
         parse_spec_json(json.dumps({"tree": [["a", "b"]]}))
 
 
+def test_parse_json_vertex_types():
+    # integers name vertices as their decimal strings; null and booleans are refused
+    tree, _ = parse_spec_json(json.dumps({"tree": [[1, 2], [2, "c"]], "cycles": {"1-2": 3, "2-c": 5}}))
+    assert tree.names == ("1", "2", "c")
+    bad = {"tree": [[None, True], [True, 3]], "cycles": {"None-True": 3, "True-3": 5}}
+    with pytest.raises(SpecFormatError, match="vertices"):
+        parse_spec_json(json.dumps(bad))
+    with pytest.raises(SpecFormatError, match="vertices"):
+        parse_spec_json(json.dumps({"tree": [["a", 1.5]], "cycles": {"a-1.5": 3}}))
+
+
 def test_bipartition_examples():
     # double star S_{3,3}: both sides size 3; a = 3
     tree, s = spec("tree: u-v u-a u-b v-c v-d\ncycles: u-v:5 u-a:3 u-b:3 v-c:5 v-d:5")

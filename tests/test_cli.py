@@ -161,8 +161,9 @@ def test_oracle_f2_spec_and_coloring(capsys, tmp_path):
         {"n": 4, "red": [[0, 1, 2]]},
         {"n": True, "red": []},
         {"n": 4, "red": [[True, False]]},
+        {"n": -3, "red": []},
     ],
-    ids=["missing-red", "not-an-object", "three-element-edge", "boolean-n", "boolean-endpoints"],
+    ids=["missing-red", "not-an-object", "three-element-edge", "boolean-n", "boolean-endpoints", "negative-n"],
 )
 def test_oracle_f2_malformed_coloring(capsys, tmp_path, coloring):
     cfile = tmp_path / "col.json"

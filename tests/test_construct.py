@@ -155,6 +155,8 @@ def test_coloring_candidate_matches_construction():
 def test_edge_coloring_validation():
     with pytest.raises(ParameterError):
         EdgeColoring(3, frozenset({(2, 1)}))  # unnormalized pair
+    with pytest.raises(ParameterError):
+        EdgeColoring(-3, frozenset())
     col = EdgeColoring(3, frozenset({(0, 1)}))
     assert col.blue_graph().edge_count() == 2
 

@@ -125,7 +125,7 @@ def test_edge_growth_counts_match_oeis():
     counts = Counter(g.edge_count() for g in small_edge_classes(6, 12))
     assert [counts[m] for m in range(1, 7)] == [1, 2, 5, 11, 26, 68]
     # connected graphs by edge count: OEIS A002905
-    counts = Counter(g.edge_count() for g in edge_growth_classes(connected=True, max_edges=6))
+    counts = Counter(g.edge_count() for g in edge_growth_classes(lambda g: len(connected_components(g)) == 1, 6))
     assert [counts[m] for m in range(1, 7)] == [1, 1, 3, 5, 12, 30]
 
 
@@ -141,6 +141,24 @@ def test_trees_up_to_counts_and_cap():
     with pytest.raises(CapacityError):
         trees_up_to(17)
     assert time.perf_counter() - start < 1.0  # refused before any growth
+
+
+def test_trees_up_to_order():
+    from oddballoon.codec import encode_graph6
+    from oddballoon.generate import trees_up_to
+
+    # the bench's case ids T{n}.{i} and its seeded length draws follow this order
+    expected = [
+        [],
+        ["@"],
+        ["A_"],
+        ["Bo"],
+        ["Cs", "Cq"],
+        ["Ds_", "DsO", "DqG"],
+        ["Esa?", "Es`?", "EsP?", "EsO_", "EsOG", "EqGO"],
+        ["FsaC?", "FsaA?", "Fs`A?", "Fs`@?", "Fs`?G", "FsP@?", "FsO__", "FsO_O", "FsOGO", "FsOGG", "FqGOO"],
+    ]
+    assert [[encode_graph6(t) for t in level] for level in trees_up_to(7)] == expected
 
 
 def test_strip_isolated_keeps_graph_without_isolated_vertices():

@@ -78,3 +78,48 @@ def test_no_dead_private_helpers():
         if all(where == path and node.lineno <= line <= node.end_lineno for where, line in refs.get(name, []))
     ]
     assert dead == []
+
+
+def _defaulted_parameters(tree: ast.Module):
+    """(function, parameter, position or None if keyword-only) of every
+    defaulted parameter of each module-level function."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        positional = node.args.posonlyargs + node.args.args
+        first = len(positional) - len(node.args.defaults)
+        for pos in range(first, len(positional)):
+            yield node.name, positional[pos].arg, pos
+        for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+            if default is not None:
+                yield node.name, arg.arg, None
+
+
+def test_every_option_is_set():
+    # every defaulted parameter of a module-level function of the package is
+    # passed, by keyword or by position, by some call in src/, tests/ or
+    # bench/ to a function of that name
+    keywords: dict[str, set[str]] = {}
+    positions: dict[str, float] = {}
+    for folder in (SRC, ROOT / "tests", ROOT / "bench"):
+        for path in sorted(folder.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name is None:
+                    continue
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                count = float("inf") if starred else len(node.args)
+                positions[name] = max(positions.get(name, 0), count)
+                for kw in node.keywords:  # kw.arg is None for **mapping: it may set any option
+                    keywords.setdefault(name, set()).add(kw.arg or "**")
+    unset = [
+        f"{path.name}: {func}({param}=...)"
+        for path in sorted(SRC.glob("*.py"))
+        for func, param, pos in _defaulted_parameters(ast.parse(path.read_text(encoding="utf-8")))
+        if not {param, "**"} & keywords.get(func, set())
+        and (pos is None or positions.get(func, 0) <= pos)
+    ]
+    assert unset == []

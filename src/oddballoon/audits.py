@@ -24,7 +24,7 @@ from .generate import (
     random_graph,
     trees_up_to,
 )
-from .graphs import Graph, complete_graph, is_bipartite
+from .graphs import Graph, ParameterError, complete_graph, is_bipartite
 from .matching import hall_violating_set, max_matching, min_vertex_cover
 from .oracle import PartitionedGraph, degree_sum_audit, lemma_partition_audit
 
@@ -222,6 +222,8 @@ AUDIT_NAMES = ("konig", "hall", "degree-sum", "wang", "covering", "lemma1", "par
 def run_audit(name: str, samples: int = 10_000, seed: int = 0) -> AuditResult:
     """Dispatch by name; sampled audits take samples/seed, exhaustive ones
     run over their fixed corpora."""
+    if samples < 1:
+        raise ParameterError(f"an audit needs samples >= 1, got {samples}")
     if name == "konig":
         return konig_audit(samples, seed)
     if name == "hall":

@@ -3,10 +3,11 @@ the parameters that drive the closed formula."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .graphs import (
+    VERTEX_CAP,
     CapacityError,
     Graph,
     _fast_graph,
@@ -15,7 +16,6 @@ from .graphs import (
     bit_indices,
     connected_components,
     from_edges,
-    vertex_cap,
 )
 from .matching import max_matching, min_vertex_cover
 
@@ -290,17 +290,7 @@ class AnalysisReport:
     branch: str  # "k_gt_k1" | "k_eq_k1"
 
     def to_dict(self) -> dict:
-        return {
-            "a": self.a,
-            "b_size": self.b_size,
-            "k": self.k,
-            "k1": self.k1,
-            "u": self.u,
-            "beta": self.beta,
-            "nu": self.nu,
-            "good": self.good,
-            "branch": self.branch,
-        }
+        return asdict(self)
 
 
 def type_one_degree(tree: BipartiteTree, spec: BalloonSpec, v: int) -> int:
@@ -404,8 +394,8 @@ def build_balloon(tree: BipartiteTree, spec: BalloonSpec) -> Graph:
     """Materialize the ballooning: per tree edge uv, a fresh path closing an
     odd cycle of the specified length through uv."""
     total = balloon_order(tree, spec)
-    if total > vertex_cap():
-        raise CapacityError(f"ballooning has {total} vertices, cap is {vertex_cap()}")
+    if total > VERTEX_CAP:
+        raise CapacityError(f"ballooning has {total} vertices, cap is {VERTEX_CAP}")
     edges = list(tree.edges)
     nxt = tree.n
     for e, ln in spec.lengths:

@@ -67,7 +67,6 @@ from .graphs import (
     bit_indices,
     connected_components,
     induced,
-    is_forest,
     iter_bits,
     union_all,
 )
@@ -316,11 +315,11 @@ def canonical_key_and_generators(g: Graph) -> tuple[bytes, tuple[Perm, ...]]:
     latter).  They generate a subgroup of Aut(g), not always all of it."""
     if g.n > CANON_VERTEX_CAP:
         raise CapacityError(f"canonical_key supports n <= {CANON_VERTEX_CAP}")
-    if is_forest(g):
-        key = _forest_key(tree_code(g.rows, comp) for comp in connected_components(g))
-        return key, tuple(_twin_transpositions(_twin_masks(g.rows)))
+    comps = connected_components(g)
+    if g.n and g.edge_count() == g.n - len(comps):  # a forest
+        return canonical_key_any(g), tuple(_twin_transpositions(_twin_masks(g.rows)))
     lab, found, twins = _ir_search(g)
-    key = _ir_key(g.n, lab) if len(connected_components(g)) <= 1 else canonical_key_any(g)
+    key = _ir_key(g.n, lab) if len(comps) <= 1 else canonical_key_any(g)
     return key, (*found, *_twin_transpositions(twins))
 
 

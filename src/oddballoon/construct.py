@@ -8,6 +8,7 @@ from itertools import combinations
 from .balloon import BalloonSpec, BipartiteTree, analyze
 from .formulas import _middle_term, chvatal_hanson
 from .graphs import (
+    VERTEX_CAP,
     CapacityError,
     Graph,
     ParameterError,
@@ -15,7 +16,6 @@ from .graphs import (
     empty_graph,
     from_edges,
     union_all,
-    vertex_cap,
 )
 from .matching import max_matching
 
@@ -110,7 +110,7 @@ def extremal_candidate(n: int, tree: BipartiteTree, spec: BalloonSpec) -> Labele
     a, k = rep.a, rep.k
     if n < a - 1 + 2 * (k - 1) + 2:
         raise ParameterError(f"n={n} too small to host the construction")
-    if n > vertex_cap():
+    if n > VERTEX_CAP:
         raise CapacityError(f"n={n} exceeds the vertex cap")
 
     m = n - a + 1

@@ -10,6 +10,7 @@ from .canon import _decode, _forest_key, canonical_key, tree_code
 from .embed import contains_subgraph
 from .generate import edge_growth_classes
 from .graphs import (
+    VERTEX_CAP,
     CapacityError,
     Graph,
     ParameterError,
@@ -21,7 +22,6 @@ from .graphs import (
     induced,
     iter_bits,
     strip_isolated,
-    vertex_cap,
 )
 from .matching import min_vertex_cover
 
@@ -306,8 +306,8 @@ def default_oracle_side(tree: BipartiteTree, spec: BalloonSpec) -> int:
     holds as the s0 host is a subgraph.  Containment is therefore the same
     for every s >= s0."""
     side = balloon_order(tree, spec) + 2 * len(tree.edges) + 2
-    if 2 * side > vertex_cap():
-        raise CapacityError(f"oracle host on {2 * side} vertices exceeds the cap {vertex_cap()}")
+    if 2 * side > VERTEX_CAP:
+        raise CapacityError(f"oracle host on {2 * side} vertices exceeds the cap {VERTEX_CAP}")
     return side
 
 

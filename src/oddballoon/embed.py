@@ -30,8 +30,8 @@ fixed (an injective edge-preserving self-map of a finite graph is an
 automorphism).  Equitable refinement only prefilters the candidate
 images, since its cells over-approximate orbits.  A depth's orbit is
 computed on its first refutation, so queries that succeed fast pay
-almost nothing for it.  The same orbits give `embeds_using_vertex` one
-seed per Aut(P) orbit.
+almost nothing for it.  The same orbits give `creates_copy_with_vertex`
+one seed per Aut(P) orbit.
 
 Label-order symmetry breaking (Grochow & Kellis: require f(p) < f(q) for
 p, q in one orbit) is not used.  It prunes maps that are not the least of
@@ -264,7 +264,7 @@ def contains_subgraph(
     return False
 
 
-def embeds_using_vertex(host: Graph, pattern: Graph, hv: int) -> bool:
+def _embeds_at(host: Graph, pattern: Graph, hv: int) -> bool:
     """True iff pattern embeds with hv in the image of its non-isolated part.
 
     Used for incremental freeness checks: when the host grew by one vertex,
@@ -272,12 +272,6 @@ def embeds_using_vertex(host: Graph, pattern: Graph, hv: int) -> bool:
     is tried at hv: an automorphism carries an embedding seeded at one
     vertex to one seeded at any other vertex of its orbit.
     """
-    if pattern.n > host.n or pattern.edge_count() > host.edge_count():
-        return False
-    return _embeds_at(host, pattern, hv)
-
-
-def _embeds_at(host: Graph, pattern: Graph, hv: int) -> bool:
     hd = host.degree(hv)
     img = [0] * pattern.n
     for p in _seed_reps(pattern):

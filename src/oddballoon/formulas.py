@@ -2,7 +2,7 @@
 base construction size, and the full Turan value for a good ballooning."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 from .balloon import BalloonSpec, BipartiteTree, analyze
@@ -55,18 +55,7 @@ class TuranReport:
     large_n_only: bool = True  # the closed form is proved for large n only
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "a": self.a,
-            "k": self.k,
-            "k1": self.k1,
-            "branch": self.branch,
-            "base": self.base,
-            "middle": self.middle,
-            "tail": self.tail,
-            "total": self.total,
-            "large_n_only": self.large_n_only,
-        }
+        return asdict(self)
 
     def render(self) -> str:
         tail_kind = f"({self.k - 1})^2" if self.branch == "k_gt_k1" else f"f({self.k - 1},{self.k - 1})"

@@ -15,7 +15,6 @@ Two growth routines, each keying its candidates with `canon`:
 """
 from __future__ import annotations
 
-import heapq
 import random
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -31,12 +30,10 @@ from .embed import creates_copy_with_vertex
 from .graphs import (
     CapacityError,
     Graph,
-    _append_vertex,
     _fast_graph,
     add_vertex,
     empty_graph,
     from_edges,
-    vertex_cap,
 )
 
 Filter = Callable[[Graph], bool]
@@ -86,15 +83,13 @@ def _vertex_growth(
     it is some grown parent P, and the orbit representative of the deleted
     vertex's neighbour set rebuilds the class with a new vertex of minimum
     degree.  Freeness and the canonical key are isomorphism invariants, so
-    no class is lost.
+    no class is lost.  A free candidate past 16 vertices meets the cap of
+    `canonical_key_and_generators`, which raises CapacityError.
     """
-    cap = vertex_cap()
     empty = empty_graph(0)
     levels: list[Level] = [{canonical_key(empty): (empty, ())}]
     nodes = 0
     for v in range(max_n):
-        if levels[v] and v + 1 > cap:
-            raise CapacityError(f"{v + 1} vertices exceeds cap {cap}")
         level: Level = {}
         for parent, gens in levels[v].values():
             need = floor[v + 1] - parent.edge_count()
@@ -113,7 +108,7 @@ def _vertex_growth(
                 if subset in outcomes:
                     outcome = outcomes[subset]
                 else:
-                    cand = _append_vertex(parent, subset)
+                    cand = add_vertex(parent, subset)
                     nodes += 1
                     outcome = None
                     if not any(creates_copy_with_vertex(cand, m, v) for m in members):
@@ -237,29 +232,3 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
 def random_bipartite_graph(rng: random.Random, nx: int, ny: int, p: float) -> Graph:
     edges = [(u, nx + v) for u in range(nx) for v in range(ny) if rng.random() < p]
     return from_edges(nx + ny, edges)
-
-
-def random_tree(rng: random.Random, n: int) -> Graph:
-    """Uniform labelled tree via a Prufer sequence."""
-    if n <= 1:
-        return empty_graph(max(n, 0))
-    if n == 2:
-        return from_edges(2, [(0, 1)])
-    seq = [rng.randrange(n) for _ in range(n - 2)]
-    degree = [1] * n
-    for v in seq:
-        degree[v] += 1
-    edges = []
-    leaves = [v for v in range(n) if degree[v] == 1]
-    heapq.heapify(leaves)
-    for v in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((leaf, v))
-        degree[v] -= 1
-        if degree[v] == 1:
-            heapq.heappush(leaves, v)
-    u = heapq.heappop(leaves)
-    w = heapq.heappop(leaves)
-    edges.append((u, w))
-    return from_edges(n, edges)
-

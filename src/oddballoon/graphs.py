@@ -6,11 +6,10 @@ immutable values; every operation returns a new Graph.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-HARD_VERTEX_CAP = 128
+VERTEX_CAP = 128
 
 
 class CapacityError(ValueError):
@@ -19,18 +18,6 @@ class CapacityError(ValueError):
 
 class ParameterError(ValueError):
     """Invalid construction parameters."""
-
-
-def vertex_cap() -> int:
-    """Current vertex capacity.  TB_MAX_VERTICES may lower (never raise) it."""
-    cap = HARD_VERTEX_CAP
-    env = os.environ.get("TB_MAX_VERTICES")
-    if env:
-        try:
-            cap = min(cap, int(env))
-        except ValueError:
-            raise ParameterError(f"TB_MAX_VERTICES is not an integer: {env!r}") from None
-    return cap
 
 
 def bit_indices(mask: int) -> list[int]:
@@ -60,8 +47,8 @@ class Graph:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ParameterError("vertex count must be nonnegative")
-        if self.n > vertex_cap():
-            raise CapacityError(f"{self.n} vertices exceeds cap {vertex_cap()}")
+        if self.n > VERTEX_CAP:
+            raise CapacityError(f"{self.n} vertices exceeds cap {VERTEX_CAP}")
         if len(self.rows) != self.n:
             raise ParameterError("adjacency row count does not match n")
         full = (1 << self.n) - 1
@@ -212,8 +199,8 @@ def build_standard(kind: str, *params: int) -> Graph:
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
     n = g.n + h.n
-    if n > vertex_cap():
-        raise CapacityError(f"union has {n} vertices, cap is {vertex_cap()}")
+    if n > VERTEX_CAP:
+        raise CapacityError(f"union has {n} vertices, cap is {VERTEX_CAP}")
     rows = list(g.rows) + [row << g.n for row in h.rows]
     return _fast_graph(n, tuple(rows))
 
@@ -221,8 +208,8 @@ def disjoint_union(g: Graph, h: Graph) -> Graph:
 def join(g: Graph, h: Graph) -> Graph:
     """Join: disjoint union plus all cross edges."""
     n = g.n + h.n
-    if n > vertex_cap():
-        raise CapacityError(f"join has {n} vertices, cap is {vertex_cap()}")
+    if n > VERTEX_CAP:
+        raise CapacityError(f"join has {n} vertices, cap is {VERTEX_CAP}")
     hmask = ((1 << h.n) - 1) << g.n
     gmask = (1 << g.n) - 1
     rows = [row | hmask for row in g.rows]
@@ -282,13 +269,8 @@ def add_edges(g: Graph, edges: Iterable[tuple[int, int]]) -> Graph:
 
 def add_vertex(g: Graph, neighbors_mask: int = 0) -> Graph:
     """Append a new vertex adjacent to the given bitmask of old vertices."""
-    if g.n + 1 > vertex_cap():
-        raise CapacityError(f"{g.n + 1} vertices exceeds cap {vertex_cap()}")
-    return _append_vertex(g, neighbors_mask)
-
-
-def _append_vertex(g: Graph, neighbors_mask: int) -> Graph:
-    """add_vertex without the cap check, for callers that check it once."""
+    if g.n >= VERTEX_CAP:
+        raise CapacityError(f"{g.n + 1} vertices exceeds cap {VERTEX_CAP}")
     z = g.n
     rows = [row | (1 << z if neighbors_mask >> v & 1 else 0) for v, row in enumerate(g.rows)]
     rows.append(neighbors_mask)
@@ -344,8 +326,4 @@ def bipartition_sides(g: Graph) -> tuple[int, int] | None:
 def is_bipartite(g: Graph) -> bool:
     return bipartition_sides(g) is not None
 
-
-def is_forest(g: Graph) -> bool:
-    m = g.edge_count()
-    return m < g.n and m == g.n - len(connected_components(g))
 

@@ -27,7 +27,6 @@ from .graphs import (
     iter_bits,
     star_graph,
     union_all,
-    vertex_cap,
 )
 from .matching import max_matching
 
@@ -86,9 +85,6 @@ def ex_exact(n: int, family) -> ExResult:
         )
     # what is left has edges, so every edgeless graph is free
     members = [m for m in members if m.edge_count() > 0]
-    cap = vertex_cap()
-    if n > cap:
-        raise CapacityError(f"{cap + 1} vertices exceeds cap {cap}")
     t0 = time.perf_counter()
     value = nodes = 0
     memo: Memo = {}

@@ -8,12 +8,14 @@ isomorphism-class enumeration behind `ex_exact`.
 """
 from __future__ import annotations
 
+import heapq
+import random
 from itertools import combinations, permutations
 
 from oddballoon.canon import canonical_key
 from oddballoon.decomp import GraphFamily
 from oddballoon.embed import contains_subgraph
-from oddballoon.graphs import CapacityError, Graph, ParameterError, add_edges, empty_graph
+from oddballoon.graphs import CapacityError, Graph, ParameterError, add_edges, empty_graph, from_edges
 
 
 def brute_max_matching(g: Graph) -> int:
@@ -255,3 +257,40 @@ def max_b_free(m: int, family: GraphFamily | list[Graph]) -> tuple[Graph, int]:
     grow(0, empty_graph(m), 0)
     value, _, witness = best[0]
     return witness, value
+
+
+def random_tree(rng: random.Random, n: int) -> Graph:
+    """Uniform labelled tree via a Prufer sequence."""
+    if n <= 1:
+        return empty_graph(max(n, 0))
+    if n == 2:
+        return from_edges(2, [(0, 1)])
+    seq = [rng.randrange(n) for _ in range(n - 2)]
+    degree = [1] * n
+    for v in seq:
+        degree[v] += 1
+    edges = []
+    leaves = [v for v in range(n) if degree[v] == 1]
+    heapq.heapify(leaves)
+    for v in seq:
+        leaf = heapq.heappop(leaves)
+        edges.append((leaf, v))
+        degree[v] -= 1
+        if degree[v] == 1:
+            heapq.heappush(leaves, v)
+    u = heapq.heappop(leaves)
+    w = heapq.heappop(leaves)
+    edges.append((u, w))
+    return from_edges(n, edges)
+
+
+def acyclic(g: Graph) -> bool:
+    """No cycle: stripping vertices of degree <= 1 empties the graph."""
+    alive = (1 << g.n) - 1
+    while alive:
+        low = [v for v in range(g.n) if alive >> v & 1 and (g.rows[v] & alive).bit_count() <= 1]
+        if not low:
+            return False
+        for v in low:
+            alive &= ~(1 << v)
+    return True

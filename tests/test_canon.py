@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_forest_form
+from helpers import acyclic, random_tree, reference_forest_form
 from oddballoon.canon import (
     _forest_from_codes,
     canonical_form,
@@ -95,8 +95,6 @@ def test_canonical_key_any_beyond_cap():
 def test_forest_canonical_form_fuzz():
     # forests exercise the rooted-code route; relabelings must collapse and
     # canonical_form must be idempotent
-    from oddballoon.generate import random_tree
-
     rng = random.Random(77)
     for _ in range(300):
         pieces = [random_tree(rng, rng.randint(1, 5)) for _ in range(rng.randint(1, 3))]
@@ -147,19 +145,16 @@ def test_forest_decoder_on_random_forests(parents, rng):
 
 
 def test_forest_vs_cyclic_keys_never_collide():
-    from oddballoon.graphs import is_forest
-
     for level in graph_levels(6):
         for g in level:
             tag = canonical_key(g)[:1]
-            assert (tag == b"T") == is_forest(g)
-            assert (tag == b"U") == (not is_forest(g) and len(connected_components(g)) > 1)
+            forest = g.n > 0 and acyclic(g)  # the empty graph takes route G
+            assert (tag == b"T") == forest
+            assert (tag == b"U") == (not forest and len(connected_components(g)) > 1)
 
 
 def _cyclic_piece(rng: random.Random, n: int, extra: int) -> Graph:
     """A random connected graph on n vertices with n - 1 + extra edges."""
-    from oddballoon.generate import random_tree
-
     t = random_tree(rng, n)
     chords = [(u, v) for u in range(n) for v in range(u + 1, n) if not t.has_edge(u, v)]
     return from_edges(n, t.edges() + rng.sample(chords, extra))
@@ -177,7 +172,6 @@ def test_disconnected_cyclic_graphs_against_networkx():
     # half the pairs are relabellings, half swap the first piece for another
     # one with the same order and size
     nx = pytest.importorskip("networkx")
-    from oddballoon.generate import random_tree
     from oddballoon.graphs import induced
 
     def to_nx(g):
@@ -341,8 +335,6 @@ def _orbits(n: int, perms) -> list[int]:
 def test_generators_are_automorphisms():
     from itertools import permutations
 
-    from oddballoon.graphs import is_forest
-
     for level in graph_levels(6):
         for g in level:
             key, gens = canonical_key_and_generators(g)
@@ -351,7 +343,7 @@ def test_generators_are_automorphisms():
             full = [p for p in permutations(range(g.n)) if _is_automorphism(g, p)]
             got, want = _orbits(g.n, gens), _orbits(g.n, full)
             assert all(a & ~b == 0 for a, b in zip(got, want))
-            if not is_forest(g):  # forests get only their twin transpositions
+            if key[:1] != b"T":  # forests get only their twin transpositions
                 assert got == want
     for g in (_rook_4x4(), _shrikhande(), complete_bipartite(3, 4), union_all([complete_graph(4)] * 3)):
         _, gens = canonical_key_and_generators(g)

@@ -26,8 +26,9 @@ def test_analyze(capsys):
 def test_analyze_json(capsys):
     code, out, _ = run(capsys, "analyze", str(SPECS / "double_star33.spec"), "--json")
     assert code == 0
-    data = json.loads(out)
-    assert data["a"] == 3 and data["branch"] == "k_gt_k1"
+    assert out == (
+        '{"a": 3, "b_size": 3, "k": 1, "k1": 0, "u": "c", "beta": 2, "nu": 2, "good": true, "branch": "k_gt_k1"}\n'
+    )
 
 
 def test_analyze_not_good(capsys):
@@ -67,7 +68,10 @@ def test_turan(capsys):
 def test_turan_json(capsys):
     code, out, _ = run(capsys, "turan", str(SPECS / "bowtie.spec"), "-n", "20", "--json")
     assert code == 0
-    assert json.loads(out)["total"] == 101
+    assert out == (
+        '{"n": 20, "a": 1, "k": 2, "k1": 2, "branch": "k_eq_k1", "base": 100, "middle": 0, '
+        '"tail": 1, "total": 101, "large_n_only": true}\n'
+    )
 
 
 def test_construct_verify_roundtrip(capsys, tmp_path):
@@ -199,6 +203,15 @@ def test_audit_cli(capsys):
     code, out, _ = run(capsys, "audit", "hall", "--samples", "200", "--seed", "3")
     assert code == 0
     assert "audit hall" in out and "ok" in out
+
+
+@pytest.mark.parametrize(
+    "argv", [["hall", "--samples", "0"], ["partition", "--samples", "-3"]], ids=["zero", "negative"]
+)
+def test_audit_cli_needs_samples(capsys, argv):
+    code, out, err = run(capsys, "audit", *argv)
+    assert code == 1 and out == ""
+    assert "samples >= 1" in err
 
 
 def test_domain_error_exit_code(capsys, tmp_path):

@@ -167,12 +167,12 @@ def test_oracle_stable_past_default_side():
         assert decomposition_oracle(tree, spec).keys() == doubled.keys(), (tree.edges, spec.lengths)
 
 
-def test_default_oracle_side_cap(monkeypatch):
-    tree, spec = parse_spec("tree: 1-2 2-3\ncycles: 1-2:3 2-3:5")
-    side = balloon_order(tree, spec) + 2 * len(tree.edges) + 2
-    monkeypatch.setenv("TB_MAX_VERTICES", str(2 * side))
-    assert default_oracle_side(tree, spec) == side
-    monkeypatch.setenv("TB_MAX_VERTICES", str(2 * side - 1))
+def test_default_oracle_side_cap():
+    # s0 = |T_o| + 2e(T) + 2 is odd, so the hosts nearest the 128-vertex cap
+    # have 126 and 130 vertices
+    tree, spec = parse_spec("tree: a-b\ncycles: a-b:59")
+    assert default_oracle_side(tree, spec) == 63
+    tree, spec = parse_spec("tree: a-b\ncycles: a-b:61")
     with pytest.raises(CapacityError):
         default_oracle_side(tree, spec)
     with pytest.raises(CapacityError):

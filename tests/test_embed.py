@@ -11,7 +11,7 @@ from helpers import brute_contains
 from oddballoon import embed
 from oddballoon.balloon import build_balloon, load_spec, parse_spec
 from oddballoon.decomp import _embedding_host, default_oracle_side
-from oddballoon.embed import contains_subgraph, creates_copy_with_vertex, embeds_using_vertex
+from oddballoon.embed import _embeds_at, contains_subgraph, creates_copy_with_vertex
 from oddballoon.generate import random_graph, small_edge_classes
 from oddballoon.graphs import (
     Graph,
@@ -203,7 +203,7 @@ def test_seeded_modes_against_brute_force():
         pat = _shuffled(rng.choice(patterns), rng)
         hv = rng.randrange(host.n)
         through = any(brute_contains(host, pat, anchor=(hv, x)) for x in range(host.n) if host.has_edge(hv, x))
-        assert embeds_using_vertex(host, pat, hv) == through, (host.rows, pat.rows, hv)
+        assert _embeds_at(host, pat, hv) == through, (host.rows, pat.rows, hv)
         if host.edge_count():
             e = rng.choice(host.edges())
             assert contains_subgraph(host, pat, anchor=e) == brute_contains(host, pat, anchor=e)
@@ -227,7 +227,7 @@ def test_answers_invariant_under_relabelling(host_spec, pat, rng):
     moved_pat = _shuffled(pat, rng)
     assert contains_subgraph(host, pat) == contains_subgraph(moved, moved_pat)
     hv = rng.randrange(n)
-    assert embeds_using_vertex(host, pat, hv) == embeds_using_vertex(moved, moved_pat, perm.index(hv))
+    assert _embeds_at(host, pat, hv) == _embeds_at(moved, moved_pat, perm.index(hv))
 
 
 def test_stabiliser_orbits_match_brute_force():

@@ -4,6 +4,7 @@ from oddballoon.graphs import (
     CapacityError,
     Graph,
     ParameterError,
+    add_vertex,
     build_standard,
     complete_bipartite,
     complete_graph,
@@ -14,7 +15,6 @@ from oddballoon.graphs import (
     from_edges,
     induced,
     is_bipartite,
-    is_forest,
     join,
     path_graph,
     star_graph,
@@ -80,31 +80,25 @@ def test_graph_invariants_enforced():
         from_edges(2, [(0, 0)])
 
 
-def test_capacity_cap(monkeypatch):
-    with pytest.raises(CapacityError):
-        empty_graph(200)
-    monkeypatch.setenv("TB_MAX_VERTICES", "10")
-    with pytest.raises(CapacityError):
-        empty_graph(11)
-    assert empty_graph(10).n == 10
-    # the env var may lower but never raise the cap
-    monkeypatch.setenv("TB_MAX_VERTICES", "100000")
+def test_capacity_cap():
+    assert empty_graph(128).n == 128
     with pytest.raises(CapacityError):
         empty_graph(129)
+    with pytest.raises(CapacityError):
+        add_vertex(empty_graph(128))
+    with pytest.raises(CapacityError):
+        disjoint_union(empty_graph(64), empty_graph(65))
+    with pytest.raises(CapacityError):
+        join(empty_graph(64), empty_graph(65))
 
 
-def test_growth_reads_cap_once(monkeypatch):
-    from oddballoon import graphs
+def test_growth_refuses_past_canon_cap():
     from oddballoon.generate import graph_levels
 
-    monkeypatch.setenv("TB_MAX_VERTICES", "4")
+    # the edgeless graph on 16 vertices is K_2-free, so its 17-vertex child
+    # reaches the canonical key's 16-vertex cap
     with pytest.raises(CapacityError):
-        graph_levels(5)
-    calls = []
-    monkeypatch.setattr(graphs, "vertex_cap", lambda: calls.append(1) or 4)
-    monkeypatch.setattr("oddballoon.generate.vertex_cap", graphs.vertex_cap)
-    assert [len(level) for level in graph_levels(4)] == [1, 1, 2, 4, 11]
-    assert len(calls) <= 2  # the growth's own read and empty_graph(0)'s, not one per candidate
+        graph_levels(17, (complete_graph(2),))
 
 
 def test_graph_levels_counts_free_graphs():
@@ -114,6 +108,8 @@ def test_graph_levels_counts_free_graphs():
     # over every neighbour set, with no floor or minimum-degree pruning
     assert [len(level) for level in graph_levels(8, (complete_graph(3),))] == [1, 1, 2, 3, 7, 14, 38, 107, 410]
     assert [len(level) for level in graph_levels(8, (cycle_graph(4),))] == [1, 1, 2, 4, 8, 18, 44, 117, 351]
+    # no forbidden family: all graphs, OEIS A000088
+    assert [len(level) for level in graph_levels(4)] == [1, 1, 2, 4, 11]
 
 
 def test_edge_growth_counts_match_oeis():
@@ -173,8 +169,6 @@ def test_components_and_bipartite():
     assert len(comps) == 2
     assert is_bipartite(g)
     assert not is_bipartite(cycle_graph(5))
-    assert is_forest(path_graph(5))
-    assert not is_forest(cycle_graph(4))
 
 
 def test_induced_and_strip():

@@ -47,7 +47,8 @@ def _private_definitions(tree: ast.Module):
 
 
 def _references(tree: ast.Module):
-    """(name, line) of every name, attribute, imported name and string."""
+    """(name, line) of every name, attribute, imported name and string; a
+    "module.name" string counts as its last part."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id, node.lineno
@@ -56,28 +57,54 @@ def _references(tree: ast.Module):
         elif isinstance(node, ast.ImportFrom):
             yield from ((alias.name, node.lineno) for alias in node.names)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            yield node.value, node.lineno  # monkeypatch.setattr(module, "_name", ...)
+            # monkeypatch.setattr(module, "_name", ...), the bench's "generate.trees_up_to"
+            yield node.value.rpartition(".")[2], node.lineno
 
 
-def test_no_dead_private_helpers():
-    # every private helper of the package is used in src/, tests/ or bench/
-    # outside its own definition
+def _unused_definitions(folders, definitions):
+    """`path:line name` of each (name, node) that definitions(tree) yields
+    for a module of the package and that nothing in folders references
+    outside the node itself."""
     trees = {
         path: ast.parse(path.read_text(encoding="utf-8"))
-        for folder in (SRC, ROOT / "tests", ROOT / "bench")
+        for folder in folders
         for path in sorted(folder.glob("*.py"))
     }
     refs: dict[str, list[tuple[Path, int]]] = {}
     for path, tree in trees.items():
         for name, line in _references(tree):
             refs.setdefault(name, []).append((path, line))
-    dead = [
+    return [
         f"{path.name}:{node.lineno} {name}"
         for path in sorted(SRC.glob("*.py"))
-        for name, node in _private_definitions(trees[path])
+        for name, node in definitions(trees[path])
         if all(where == path and node.lineno <= line <= node.end_lineno for where, line in refs.get(name, []))
     ]
-    assert dead == []
+
+
+def test_no_dead_private_helpers():
+    # every private helper of the package is used in src/, tests/ or bench/
+    # outside its own definition
+    assert _unused_definitions((SRC, ROOT / "tests", ROOT / "bench"), _private_definitions) == []
+
+
+def _unexported_functions(tree: ast.Module):
+    """Public module-level functions that the package's __init__ does not export."""
+    exported = {
+        node.value
+        for node in ast.walk(ast.parse((SRC / "__init__.py").read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name[0] != "_" and node.name not in exported:
+            yield node.name, node
+
+
+def test_no_unused_public_functions():
+    # every public module-level function of the package is exported by
+    # __init__ or used in src/ or bench/ outside its own definition; tests
+    # do not count, so test-only code lives in tests/helpers.py
+    assert _unused_definitions((SRC, ROOT / "bench"), _unexported_functions) == []
 
 
 def _defaulted_parameters(tree: ast.Module):
@@ -123,3 +150,4 @@ def test_every_option_is_set():
         and (pos is None or positions.get(func, 0) <= pos)
     ]
     assert unset == []
+

@@ -15,7 +15,6 @@ from .graphs import (
     Graph,
     ParameterError,
     _fast_graph,
-    bit_indices,
     complete_graph,
     connected_components,
     from_edges,
@@ -23,7 +22,7 @@ from .graphs import (
     iter_bits,
     strip_isolated,
 )
-from .matching import min_vertex_cover
+from .matching import max_matching
 
 Edge = tuple[int, int]
 
@@ -154,11 +153,12 @@ def peel_edges(
     return _fast_graph(n, tuple(rows))
 
 
-def _independent_subsets(g: Graph) -> list[frozenset[int]]:
+def _independent_subsets(g: Graph) -> list[int]:
+    """Masks of the independent sets of g, ascending."""
     masks = [0]  # extending by each vertex in turn keeps the masks ascending
     for v, row in enumerate(g.rows):
         masks += [m | 1 << v for m in masks if not row & m]
-    return [frozenset(bit_indices(m)) for m in masks]
+    return masks
 
 
 def decomposition_family(tree: BipartiteTree, spec: BalloonSpec) -> GraphFamily:
@@ -184,8 +184,10 @@ def decomposition_family(tree: BipartiteTree, spec: BalloonSpec) -> GraphFamily:
     code per peeled leaf.  Codes are memoised by R and outcome tables by C;
     a split set whose multiset of tables was merged before adds nothing.
     A new member is filed under the forest key of its codes, which the
-    family decodes; only then is F_S built, to name the peeled edges in its
-    trace.
+    family decodes.  Its trace reads `split {S} peel {E}` in the tree's own
+    names: S lists the split vertices and E the peeled tree edges.  A tree
+    edge names its split copy uniquely, as a split vertex gets one copy per
+    incident edge.
 
     Every member has exactly e(T) edges and no isolated vertex, so a member
     containing another is isomorphic to it: the family is already minimal
@@ -200,8 +202,7 @@ def decomposition_family(tree: BipartiteTree, spec: BalloonSpec) -> GraphFamily:
     merged_signatures: set[tuple[int, ...]] = set()
     seen: set[tuple[bytes, ...]] = set()
     fam = GraphFamily()
-    for split_set in _independent_subsets(tg):
-        s_mask = sum(1 << v for v in split_set)
+    for s_mask in _independent_subsets(tg):
         minus_s = _fast_graph(tg.n, tuple(0 if s_mask >> v & 1 else r & ~s_mask for v, r in enumerate(rows)))
         comps = [c for c in connected_components(minus_s) if not c & s_mask]
         for c in comps:
@@ -219,15 +220,12 @@ def decomposition_family(tree: BipartiteTree, spec: BalloonSpec) -> GraphFamily:
                 for c_codes, c_peel in tables[c][1].items():
                     merged.setdefault(tuple(sorted(codes + c_codes)), peel + c_peel)
             outcomes = merged
-        origin_of = None
         for codes, peel in outcomes.items():
             if codes in seen:
                 continue
             seen.add(codes)
-            if origin_of is None:
-                origin_of = {src: e for e, src in split_vertices(tg, split_set)[1].items()}
-            names = ",".join(tree.names[v] for v in sorted(split_set)) or "-"
-            peeled = ";".join(f"{a}-{b}" for a, b in map(origin_of.get, peel)) or "-"
+            names = ",".join(tree.names[v] for v in iter_bits(s_mask)) or "-"
+            peeled = ";".join(map(tree.edge_name, peel)) or "-"
             fam._insert(_forest_key(codes), f"split {{{names}}} peel {{{peeled}}}")
     assert all(m.edge_count() == len(tree.edges) for m in fam), "splitting/peeling must preserve edge count"
     return fam
@@ -241,22 +239,19 @@ def _outcome_table(
 ) -> dict[tuple[bytes, ...], list[Edge]]:
     """The distinct results of peeling the piece T[C + N(C)], each as the
     sorted codes of its components without isolated vertices, mapped to the
-    first peel set (edges of T) that gives it.  Leaves go in their order in
-    F_S: those in C by label, then the split copies in edge order."""
+    first peel set (edges of T) that gives it, leaves taken in label order."""
     rows = tg.rows
     piece = comp
     for v in iter_bits(comp):
         piece |= rows[v]
     groups: dict[int, list[int]] = {}  # parent -> its leaves on type II edges
     if piece.bit_count() > 2:
-        ends = []  # (position in F_S, parent, leaf)
         for v in iter_bits(piece):
-            if (rows[v] & piece).bit_count() == 1:
-                p = (rows[v] & piece).bit_length() - 1
-                ends.append(((v,) if comp >> v & 1 else (tg.n, *_norm((p, v))), p, v))
-        for _, p, v in sorted(ends):
-            if spec.is_type_two((p, v)):
-                groups.setdefault(p, []).append(v)
+            nbrs = rows[v] & piece
+            if nbrs.bit_count() == 1:
+                p = nbrs.bit_length() - 1
+                if spec.is_type_two((p, v)):
+                    groups.setdefault(p, []).append(v)
     states: list[tuple[int, list[Edge]]] = [(piece, [])]  # (unpeeled set, peel set), count vectors in order
     for p, leaves in groups.items():
         steps: list[tuple[int, list[Edge]]] = [(0, [])]  # the first k leaves at p, k = 0, 1, ...
@@ -350,7 +345,7 @@ def b_family(tree: BipartiteTree, spec: BalloonSpec) -> GraphFamily:
     # every member has e(T) >= 1 edges, so for a = 1 none has a covering
     # below a: the family is not built and the fallback is taken
     fam = decomposition_family(tree, spec) if a > 1 else GraphFamily()
-    if all(min_vertex_cover(m) >= a for m in fam):
+    if all(max_matching(m) >= a for m in fam):  # members are forests, so nu = tau (Konig)
         out = GraphFamily()
         # keep K_a whole: for a = 1 it is a single vertex, not the empty graph
         out.add(complete_graph(a), trace="fallback: no covering below a", strip=False)

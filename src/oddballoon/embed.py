@@ -31,7 +31,8 @@ automorphism).  Equitable refinement only prefilters the candidate
 images, since its cells over-approximate orbits.  A depth's orbit is
 computed on its first refutation, so queries that succeed fast pay
 almost nothing for it.  The same orbits give `creates_copy_with_vertex`
-one seed per Aut(P) orbit.
+one seed vertex, and anchored `contains_subgraph` one seed edge end, per
+Aut(P) orbit.
 
 Label-order symmetry breaking (Grochow & Kellis: require f(p) < f(q) for
 p, q in one orbit) is not used.  It prunes maps that are not the least of
@@ -240,7 +241,10 @@ def contains_subgraph(
     """True iff an injective map sends pattern edges to host edges.
 
     With anchor=(u, v) - a host edge - some pattern edge must map onto it
-    (in either orientation).
+    (in either orientation).  Only p -> u, q -> v is tried, for p an orbit
+    representative of Aut(pattern) and q a neighbour of p: a copy mapping
+    p'q' onto the anchor with p' -> u turns, through an automorphism s with
+    s(p) = p', into one mapping p to u and the neighbour s^-1(q') of p to v.
     """
     if pattern.n > host.n or pattern.edge_count() > host.edge_count():
         return False
@@ -253,13 +257,15 @@ def contains_subgraph(
     u, v = anchor
     if not host.has_edge(u, v):
         raise ParameterError(f"anchor ({u},{v}) is not a host edge")
-    for p, q in pattern.edges():
-        plan = _plan(pattern, (p, q))
-        for hu, hv in ((u, v), (v, u)):
-            if host.degree(hu) < pattern.degree(p) or host.degree(hv) < pattern.degree(q):
+    du, dv = host.degree(u), host.degree(v)
+    for p in _seed_reps(pattern):
+        if pattern.degree(p) > du:
+            continue
+        for q in iter_bits(pattern.rows[p]):
+            if pattern.degree(q) > dv:
                 continue
-            img[p], img[q] = hu, hv
-            if _search(host, plan, img, (1 << hu) | (1 << hv)):
+            img[p], img[q] = u, v
+            if _search(host, _plan(pattern, (p, q)), img, (1 << u) | (1 << v)):
                 return True
     return False
 

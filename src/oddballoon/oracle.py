@@ -159,8 +159,6 @@ def max_edges_bounded(nu: int, delta: int) -> tuple[int, list[Graph]]:
         best.append((value, multis))
 
     value, multis = best[nu]
-    if value == 0:
-        return 0, [empty_graph(0)]
     unions = [(union_all(map(_decode, multi)), b"/".join(multi)) for multi in multis]
     unions.sort(key=lambda u: (u[0].n, u[1]))
     return value, [canonical_form(g) for g, _ in unions]
@@ -189,8 +187,6 @@ def star_matching_max(k: int) -> tuple[int, list[Graph]]:
         )
 
     classes = edge_growth_classes(ok)
-    if not classes:
-        return 0, [empty_graph(0)]
     best = max(g.edge_count() for g in classes)
     witnesses = [canonical_form(g) for g in classes if g.edge_count() == best]
     witnesses.sort(key=canonical_key)
@@ -239,11 +235,7 @@ def f2_exact(n: int, h: Graph) -> int:
     num_edges = n * (n - 1) // 2
     if h.n > n or h.edge_count() == 0:
         return num_edges
-    if num_edges == 0:
-        return 0
     copies = _copy_edge_masks(n, h)
-    if not copies:
-        return num_edges
     reds = (np.arange(1 << (num_edges - 1), dtype=np.uint32) << 1) | 1
     covered = np.zeros(reds.shape, dtype=np.uint32)
     for mask in copies:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import random
+import re
 from itertools import combinations, permutations
 
 from oddballoon.canon import canonical_key
@@ -122,26 +123,51 @@ def graph_from_mask(n: int, mask: int) -> Graph:
 
 def brute_decomposition_family(tree, spec):
     """Splitting then peeling by the definition: every independent split
-    set, every subset of the eligible leaf-edges, each peeled graph keyed."""
+    set, every subset of the eligible leaf-edges, each peeled graph keyed.
+    Traces name the split vertices and the peeled tree edges."""
     from oddballoon.decomp import GraphFamily, _independent_subsets, peel_edges, split_vertices
+    from oddballoon.graphs import iter_bits
 
     tg = tree.graph()
     fam = GraphFamily()
-    for split_set in _independent_subsets(tg):
-        split_g, origin = split_vertices(tg, split_set)
+    for s_mask in _independent_subsets(tg):
+        split_g, origin = split_vertices(tg, set(iter_bits(s_mask)))
         degs = split_g.degrees()
         eligible = [
             e
             for e in split_g.edges()
             if (degs[e[0]] == 1 or degs[e[1]] == 1) and spec.is_type_two(origin[(min(e), max(e))])
         ]
+        names = ",".join(tree.names[v] for v in iter_bits(s_mask)) or "-"
         for r in range(len(eligible) + 1):
             for peel in combinations(eligible, r):
                 result = peel_edges(split_g, list(peel), origin, spec)
-                names = ",".join(tree.names[v] for v in sorted(split_set)) or "-"
-                peeled = ";".join(f"{a}-{b}" for a, b in peel) or "-"
+                peeled = ";".join(tree.edge_name(origin[e]) for e in peel) or "-"
                 fam.add(result, trace=f"split {{{names}}} peel {{{peeled}}}")
     return fam
+
+
+def replay_trace(tree, spec, trace: str) -> Graph:
+    """Re-derive a decomposition member from its trace `split {S} peel {E}`,
+    which names split vertices and peeled edges of the tree.  The tree is
+    split at S, and each named tree edge is peeled as the split-forest edge
+    it became, found through the inverse of `split_vertices`' origin map.
+    Fails on any name that is not a tree vertex or a tree edge."""
+    from oddballoon.decomp import peel_edges, split_vertices
+    from oddballoon.graphs import strip_isolated
+
+    names, peeled = re.fullmatch(r"split \{(.*)\} peel \{(.*)\}", trace).groups()
+    index = {name: v for v, name in enumerate(tree.names)}
+    split_set = {index[x] for x in names.split(",")} if names != "-" else set()
+    split_g, origin = split_vertices(tree.graph(), split_set)
+    copy_of = {src: e for e, src in origin.items()}
+    peel = []
+    for x in peeled.split(";") if peeled != "-" else []:
+        a, b = (index[y] for y in x.split("-"))
+        edge = (min(a, b), max(a, b))
+        assert edge in tree.edges and tree.edge_name(edge) == x, f"{x} is not a tree edge"
+        peel.append(copy_of[edge])
+    return strip_isolated(peel_edges(split_g, peel, origin, spec))
 
 
 def reference_decomposition_oracle(tree, spec, side=None):

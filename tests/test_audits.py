@@ -44,6 +44,35 @@ def test_partition():
     assert "premise-satisfying" in res.detail
 
 
+def test_run_audit_dispatches_each_name(monkeypatch):
+    # each name reaches its own audit, with samples and seed passed on to
+    # the sampled ones and seed to the covering audit
+    import oddballoon.audits as audits
+
+    audit_of = {
+        "konig": "konig_audit",
+        "hall": "hall_audit",
+        "degree-sum": "degree_sum_random_audit",
+        "wang": "wang_audit",
+        "covering": "covering_audit",
+        "lemma1": "lemma1_audit",
+        "partition": "partition_audit",
+    }
+    calls = []
+    for attr in audit_of.values():
+        monkeypatch.setattr(audits, attr, lambda *a, attr=attr, **kw: calls.append((attr, a, kw)) or attr)
+    assert {name: run_audit(name, samples=7, seed=2) for name in audits.AUDIT_NAMES} == audit_of
+    assert calls == [
+        ("konig_audit", (7, 2), {}),
+        ("hall_audit", (7, 2), {}),
+        ("degree_sum_random_audit", (7, 2), {}),
+        ("wang_audit", (), {}),
+        ("covering_audit", (), {"seed": 2}),
+        ("lemma1_audit", (), {}),
+        ("partition_audit", (7, 2), {}),
+    ]
+
+
 def test_run_audit_dispatch():
     res = run_audit("hall", samples=100, seed=0)
     assert res.name == "hall" and res.ok

@@ -79,6 +79,9 @@ def test_isolated_vertices_matter():
 def test_is_isomorphic_and_cap():
     assert is_isomorphic(complete_bipartite(2, 2), cycle_graph(4))
     assert not is_isomorphic(path_graph(3), complete_graph(3))
+    # equal vertex and edge counts, different degree sequences
+    k1 = empty_graph(1)
+    assert not is_isomorphic(disjoint_union(path_graph(4), k1), disjoint_union(star_graph(3), k1))
     with pytest.raises(CapacityError):
         canonical_key(empty_graph(17))
     ok = canonical_form(complete_bipartite(2, 3))

@@ -59,6 +59,20 @@ def test_decompose_oracle_and_b(capsys):
     assert "B family:" in out
 
 
+def test_decompose_oracle_disagreement(capsys, monkeypatch):
+    # a disagreeing oracle fails the command and prints its family on stderr
+    import oddballoon.cli as cli
+    from oddballoon.decomp import GraphFamily
+
+    orc = GraphFamily()
+    orc.add(complete_graph(3))
+    monkeypatch.setattr(cli, "decomposition_oracle", lambda tree, spec: orc)
+    code, out, err = run(capsys, "decompose", str(SPECS / "bowtie.spec"), "--oracle")
+    assert code == 1
+    assert "oracle agreement: False" in out
+    assert err == f"oracle family:\n{encode_graph6(complete_graph(3))}\n"
+
+
 def test_turan(capsys):
     code, out, _ = run(capsys, "turan", str(SPECS / "friendship3.spec"), "-n", "100")
     assert code == 0

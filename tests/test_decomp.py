@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_decomposition_family, reference_decomposition_oracle
+from helpers import brute_decomposition_family, random_tree, reference_decomposition_oracle, replay_trace
 from oddballoon import decomp
 from oddballoon.audits import _tree_from_graph
 from oddballoon.balloon import BalloonSpec, BipartiteTree, balloon_order, build_balloon, load_spec, parse_spec
 from oddballoon.canon import canonical_form, canonical_key, is_isomorphic
+from oddballoon.codec import encode_graph6
 from oddballoon.decomp import (
     GraphFamily,
     b_family,
@@ -136,12 +137,37 @@ def test_family_traces_present():
         for m in fam:
             trace = fam.trace(m)
             assert trace is not None
-            names, peeled = re.fullmatch(r"split \{(.*)\} peel \{(.*)\}", trace).groups()
-            split_set = {tree.names.index(x) for x in names.split(",")} if names != "-" else set()
-            peel = [tuple(map(int, x.split("-"))) for x in peeled.split(";")] if peeled != "-" else []
-            split_g, origin = split_vertices(tree.graph(), split_set)
-            result = peel_edges(split_g, peel, origin, spec)
-            assert canonical_key(strip_isolated(result)) == canonical_key(m), trace
+            assert canonical_key(replay_trace(tree, spec, trace)) == canonical_key(m), trace
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=2, max_value=7), st.randoms(use_true_random=False), st.data())
+def test_family_traces_replay_on_random_trees(n, rng, data):
+    # traces speak in the tree's own names: split vertices of T, peeled
+    # edges of T, and replaying one re-derives its member
+    tree = _tree_from_graph(random_tree(rng, n))
+    lengths = data.draw(st.lists(st.sampled_from((3, 5, 7)), min_size=n - 1, max_size=n - 1))
+    spec = BalloonSpec(tuple(zip(tree.edges, lengths)))
+    edge_names = {tree.edge_name(e) for e in tree.edges}
+    fam = decomposition_family(tree, spec)
+    for m in fam:
+        trace = fam.trace(m)
+        names, peeled = re.fullmatch(r"split \{(.*)\} peel \{(.*)\}", trace).groups()
+        assert names == "-" or set(names.split(",")) <= set(tree.names), trace
+        assert peeled == "-" or set(peeled.split(";")) <= edge_names, trace
+        assert canonical_key(replay_trace(tree, spec, trace)) == canonical_key(m), trace
+
+
+def test_double_star33_traces():
+    tree, spec = load_spec(SPECS[0].parent / "double_star33.spec")
+    fam = decomposition_family(tree, spec)
+    assert {encode_graph6(m): fam.trace(m) for m in fam} == {
+        "Eia?": "split {-} peel {-}",
+        "F`CP?": "split {-} peel {v-c}",
+        "G`?GOO": "split {-} peel {v-c;v-d}",
+        "H`?G?CA": "split {u} peel {u-v}",
+        "I`?G?C??G": "split {u} peel {u-v;v-c}",
+    }
 
 
 def test_oracle_examples():

@@ -176,6 +176,8 @@ def test_ex_exact_edge_cases():
         ex_exact(11, [K3])
     with pytest.raises(ParameterError):
         ex_exact(3, [])
+    with pytest.raises(ParameterError):
+        ex_exact(-1, [K3])
 
 
 def test_ex_exact_respects_member_isolated_vertices():
@@ -223,6 +225,8 @@ def test_f2_exact_values():
     assert f2_exact(4, complete_graph(5)) == 6  # no copies fit at all
     with pytest.raises(CapacityError):
         f2_exact(8, K3)
+    with pytest.raises(ParameterError):
+        f2_exact(-1, K3)
 
 
 def test_f2_count_uncovered_examples():

@@ -17,7 +17,7 @@ from .graphs import (
     connected_components,
     from_edges,
 )
-from .matching import max_matching, min_vertex_cover
+from .matching import max_matching
 
 Edge = tuple[int, int]
 
@@ -369,9 +369,7 @@ def analyze(tree: BipartiteTree, spec: BalloonSpec) -> AnalysisReport:
     candidates = [v for v in side_a if tree.degree(v) == k]
     u = min(candidates, key=lambda v: (type_one_degree(tree, spec, v), v))
     k1 = type_one_degree(tree, spec, u)
-    tg = tree.graph()
-    beta = min_vertex_cover(tg)
-    nu = max_matching(tg)
+    nu = max_matching(tree.graph())  # T is bipartite, so beta(T) = nu(T) (Konig)
     branch = "k_eq_k1" if k == k1 else "k_gt_k1"
     return AnalysisReport(
         a=len(side_a),
@@ -379,7 +377,7 @@ def analyze(tree: BipartiteTree, spec: BalloonSpec) -> AnalysisReport:
         k=k,
         k1=k1,
         u=tree.names[u],
-        beta=beta,
+        beta=nu,
         nu=nu,
         good=True,
         branch=branch,

@@ -52,8 +52,14 @@ class GraphFamily:
     def members(self) -> list[Graph]:
         return [g for *_, g in sorted((g.edge_count(), g.n, k, g) for k, g in self._members.items())]
 
+    def _lookup_key(self, g: Graph) -> bytes:
+        """g's own key when a member was filed whole under it, else the key
+        of g stripped of isolated vertices."""
+        key = canonical_key(g)
+        return key if key in self._members else canonical_key(strip_isolated(g))
+
     def trace(self, g: Graph) -> str | None:
-        return self._traces.get(canonical_key(strip_isolated(g)))
+        return self._traces.get(self._lookup_key(g))
 
     def keys(self) -> frozenset[bytes]:
         return frozenset(self._members)
@@ -65,7 +71,7 @@ class GraphFamily:
         return iter(self.members())
 
     def __contains__(self, g: Graph) -> bool:
-        return canonical_key(strip_isolated(g)) in self._members
+        return self._lookup_key(g) in self._members
 
     def iso_equal(self, other: "GraphFamily") -> bool:
         return self.keys() == other.keys()
@@ -339,21 +345,22 @@ def decomposition_oracle(tree: BipartiteTree, spec: BalloonSpec) -> GraphFamily:
 
 def b_family(tree: BipartiteTree, spec: BalloonSpec) -> GraphFamily:
     """Covering family: induced subgraphs of decomposition members on their
-    coverings of size below a, or the single K_a when no member has one."""
+    coverings of size below a, or the single K_a when no member has one.
+
+    Members are forests, so by Konig a member's least covering has exactly
+    nu(M) vertices: its search starts at size nu(M), and a member with
+    nu(M) >= a costs one matching and no subset check.  A member with
+    nu(M) < a files at least its least covering, so the pass files nothing
+    exactly when no member has a covering below a, and that is when the
+    fallback is taken."""
     side_a, _ = bipartition(tree, spec)
     a = len(side_a)
+    out = GraphFamily()
     # every member has e(T) >= 1 edges, so for a = 1 none has a covering
     # below a: the family is not built and the fallback is taken
-    fam = decomposition_family(tree, spec) if a > 1 else GraphFamily()
-    if all(max_matching(m) >= a for m in fam):  # members are forests, so nu = tau (Konig)
-        out = GraphFamily()
-        # keep K_a whole: for a = 1 it is a single vertex, not the empty graph
-        out.add(complete_graph(a), trace="fallback: no covering below a", strip=False)
-        return out
-    out = GraphFamily()
-    for m in fam:
+    for m in decomposition_family(tree, spec) if a > 1 else ():
         full = m.vertices_mask()
-        for size in range(1, a):
+        for size in range(max_matching(m), a):
             for verts in combinations(range(m.n), size):
                 s_mask = 0
                 for v in verts:
@@ -366,6 +373,9 @@ def b_family(tree: BipartiteTree, spec: BalloonSpec) -> GraphFamily:
                 # construction, so tau(T) < a and `analyze` refuses the
                 # spec.  Keep its vertex count so containment stays faithful
                 out.add(sub, trace=f"M[S] with |S|={size}", strip=sub.edge_count() > 0)
+    if not out:
+        # keep K_a whole: for a = 1 it is a single vertex, not the empty graph
+        out.add(complete_graph(a), trace="fallback: no covering below a", strip=False)
     return out
 
 

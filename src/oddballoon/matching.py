@@ -111,13 +111,9 @@ def _greedy_matching_size(rows: list[int], alive: int) -> int:
 
 
 def min_vertex_cover(g: Graph) -> int:
-    """Exact minimum vertex cover via branch and bound.
-
-    Non-bipartite inputs are capped at 24 vertices; on bipartite inputs the
-    result is asserted against max_matching (Konig).
-    """
-    bip = is_bipartite(g)
-    if not bip and g.n > 24:
+    """Exact minimum vertex cover via branch and bound.  Non-bipartite inputs
+    are capped at 24 vertices."""
+    if g.n > 24 and not is_bipartite(g):
         raise CapacityError("min_vertex_cover: non-bipartite input over 24 vertices")
     rows = list(g.rows)
     full = g.vertices_mask()
@@ -158,11 +154,7 @@ def min_vertex_cover(g: Graph) -> int:
         solve(alive & ~nb & ~(1 << maxv), local_rows, count + nb.bit_count())
 
     solve(full, rows, 0)
-    beta = best[0]
-    if bip:
-        nu = max_matching(g)
-        assert beta == nu, f"Konig violated: beta={beta} nu={nu}"
-    return beta
+    return best[0]
 
 
 def neighborhood_mask(g: Graph, subset: int) -> int:

@@ -181,10 +181,7 @@ def star_matching_max(k: int) -> tuple[int, list[Graph]]:
     patterns = partition_premise_patterns(k, k - 1)  # S_k, S_{k-1} u K_2, kK_2
 
     def ok(g: Graph) -> bool:
-        return not any(
-            p.n <= g.n and p.edge_count() <= g.edge_count() and contains_subgraph(g, p)
-            for p in patterns
-        )
+        return not any(contains_subgraph(g, p) for p in patterns)
 
     classes = edge_growth_classes(ok)
     best = max(g.edge_count() for g in classes)
@@ -333,10 +330,7 @@ def lemma_partition_audit(pg: PartitionedGraph, k: int, k1: int) -> PartitionAud
     premises = True
     for i in (0, 1):
         gi = induced(g, masks[i])
-        if any(
-            p.n <= gi.n and p.edge_count() <= gi.edge_count() and contains_subgraph(gi, p)
-            for p in patterns
-        ):
+        if any(contains_subgraph(gi, p) for p in patterns):
             premises = False
             break
         other = masks[1 - i]

@@ -147,6 +147,44 @@ def brute_decomposition_family(tree, spec):
     return fam
 
 
+def reference_b_family(tree, spec):
+    """The covering family as first written: every vertex subset of size
+    1..a-1 of every decomposition member is tried as a covering, after an
+    all-members scan for the K_a fallback."""
+    from oddballoon.balloon import bipartition
+    from oddballoon.decomp import _is_covering, decomposition_family
+    from oddballoon.graphs import complete_graph, induced
+    from oddballoon.matching import max_matching
+
+    side_a, _ = bipartition(tree, spec)
+    a = len(side_a)
+    # every member has e(T) >= 1 edges, so for a = 1 none has a covering
+    # below a: the family is not built and the fallback is taken
+    fam = decomposition_family(tree, spec) if a > 1 else GraphFamily()
+    if all(max_matching(m) >= a for m in fam):  # members are forests, so nu = tau (Konig)
+        out = GraphFamily()
+        # keep K_a whole: for a = 1 it is a single vertex, not the empty graph
+        out.add(complete_graph(a), trace="fallback: no covering below a", strip=False)
+        return out
+    out = GraphFamily()
+    for m in fam:
+        full = m.vertices_mask()
+        for size in range(1, a):
+            for verts in combinations(range(m.n), size):
+                s_mask = 0
+                for v in verts:
+                    s_mask |= 1 << v
+                if not _is_covering(m, s_mask, full):
+                    continue
+                sub = induced(m, s_mask)
+                # an independent covering below a gives an edgeless member;
+                # its vertices, made universal, put T_o in the base
+                # construction, so tau(T) < a and `analyze` refuses the
+                # spec.  Keep its vertex count so containment stays faithful
+                out.add(sub, trace=f"M[S] with |S|={size}", strip=sub.edge_count() > 0)
+    return out
+
+
 def replay_trace(tree, spec, trace: str) -> Graph:
     """Re-derive a decomposition member from its trace `split {S} peel {E}`,
     which names split vertices and peeled edges of the tree.  The tree is

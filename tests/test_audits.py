@@ -14,6 +14,23 @@ def test_konig():
     assert konig_audit(samples=800, seed=0).ok
 
 
+def test_konig_reports_a_wrong_matching(monkeypatch):
+    # a wrong nu makes the audit report counterexamples: the cover search
+    # does not check itself against max_matching, so nothing raises
+    import oddballoon.audits as audits
+    import oddballoon.matching as matching
+
+    right = matching.max_matching
+
+    def wrong(g):
+        return right(g) + (g.edge_count() > 0)
+
+    monkeypatch.setattr(matching, "max_matching", wrong)
+    monkeypatch.setattr(audits, "max_matching", wrong)
+    res = konig_audit(samples=50, seed=0)
+    assert res.counterexamples and all(g.edge_count() for g in res.counterexamples)
+
+
 def test_hall():
     assert hall_audit(samples=800, seed=1).ok
 

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_decomposition_family, random_tree, reference_decomposition_oracle, replay_trace
+from helpers import (
+    brute_decomposition_family,
+    random_tree,
+    reference_b_family,
+    reference_decomposition_oracle,
+    replay_trace,
+)
 from oddballoon import decomp
 from oddballoon.audits import _tree_from_graph
 from oddballoon.balloon import BalloonSpec, BipartiteTree, balloon_order, build_balloon, load_spec, parse_spec
@@ -30,6 +36,7 @@ from oddballoon.graphs import (
     ParameterError,
     complete_graph,
     disjoint_union,
+    empty_graph,
     from_edges,
     path_graph,
     star_graph,
@@ -38,7 +45,8 @@ from oddballoon.graphs import (
 )
 
 K2 = from_edges(2, [(0, 1)])
-SPECS = sorted((Path(__file__).resolve().parent.parent / "specs").glob("*.spec"))
+SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
+SPECS = sorted(SPEC_DIR.glob("*.spec"))
 
 
 def keys(graphs):
@@ -221,6 +229,42 @@ def test_b_family_examples():
     tree, spec = parse_spec("tree: 1-2 2-3 3-4\ncycles: 1-2:3 2-3:5 3-4:3")
     fam = b_family(tree, spec)
     assert fam.keys() == keys([complete_graph(2)])
+
+
+def test_family_finds_members_filed_whole():
+    # a member filed with strip=False is found under its own key, and a
+    # stripped member still under the key of the stripped graph
+    tree, spec = parse_spec("tree: c-a c-b\ncycles: c-a:3 c-b:3")
+    fam = b_family(tree, spec)
+    assert complete_graph(1) in fam
+    assert fam.trace(complete_graph(1)) == "fallback: no covering below a"
+
+    # an independent covering of size 3 < a = 4 gives an edgeless member
+    tree, spec = parse_spec(
+        "tree: 0-1 0-2 0-3 1-4 4-5 5-6 5-7\ncycles: 0-1:5 0-2:3 0-3:3 1-4:5 4-5:5 5-6:5 5-7:5"
+    )
+    fam = b_family(tree, spec)
+    assert empty_graph(3) in fam
+    assert fam.trace(empty_graph(3)) == "M[S] with |S|=3"
+
+    fam = GraphFamily()
+    fam.add(empty_graph(2), trace="whole", strip=False)
+    fam.add(path_graph(3), trace="stripped")
+    assert empty_graph(2) in fam and fam.trace(empty_graph(2)) == "whole"
+    assert disjoint_union(path_graph(3), complete_graph(1)) in fam
+    assert fam.trace(disjoint_union(path_graph(3), complete_graph(1))) == "stripped"
+    assert empty_graph(1) not in fam and empty_graph(3) not in fam
+
+
+def test_b_family_matches_reference():
+    # the search from nu(M) against the all-subsets sweep: same keys, same
+    # traces, on every {3,5} spec of the trees with <= 7 vertices and on
+    # every spec file
+    cases = list(_length_cases(7)) + [load_spec(p) for p in sorted(SPEC_DIR.iterdir())]
+    assert len(cases) == 966 + 16
+    for tree, spec in cases:
+        fam, ref = b_family(tree, spec), reference_b_family(tree, spec)
+        assert fam.keys() == ref.keys() and fam._traces == ref._traces, (tree.edges, spec.lengths)
 
 
 def test_prune_non_minimal():

@@ -1,16 +1,14 @@
 """Canonical keys, canonical forms and automorphism generators.
 
 A key is a tag byte, the vertex count in two bytes, and a body; the tag
-names one of three routes, and no two routes ever key isomorphic graphs:
+names one of two routes, and the routes never key isomorphic graphs:
 
 - ``T``, forests: the sorted center-rooted subtree codes of the
   components (linear time, exact);
-- ``G``, connected graphs with a cycle (and the empty graph): the rows of
-  the copy relabelled by individualization-refinement (McKay & Piperno,
-  *Practical graph isomorphism II*, J. Symb. Comput. 60, 2014);
-- ``U``, disconnected graphs with a cycle: the keys of the components,
-  sorted and each prefixed by its length, so unions of symmetric pieces
-  never hit the refinement worst case.
+- ``G``, every other graph, connected or not (and the empty graph): the
+  rows of the copy relabelled by one individualization-refinement search
+  of the whole graph (McKay & Piperno, *Practical graph isomorphism II*,
+  J. Symb. Comput. 60, 2014).
 
 A key spells out one graph of its class, and that graph is the canonical
 form: `canonical_form` decodes the key, so keys and forms come from one
@@ -66,9 +64,7 @@ from .graphs import (
     _fast_graph,
     bit_indices,
     connected_components,
-    induced,
     iter_bits,
-    union_all,
 )
 
 CANON_VERTEX_CAP = 16
@@ -287,19 +283,14 @@ def _ir_key(n: int, lab: tuple[int, ...]) -> bytes:
 
 @lru_cache(maxsize=1 << 18)
 def canonical_key_any(g: Graph) -> bytes:
-    """Canonical key without the public vertex cap (internal use).
-
-    Cached: enumeration workloads rebuild the same components constantly,
-    and a disconnected graph with a cycle is keyed from the cached keys of
-    its components.
-    """
+    """Canonical key without the public vertex cap (internal use): a
+    forest's `T` key, else the `G` key of one refinement search of the
+    whole graph.  Cached: enumeration workloads key the same graphs
+    constantly."""
     comps = connected_components(g)
     if g.n and g.edge_count() == g.n - len(comps):
         return _forest_key(tree_code(g.rows, comp) for comp in comps)
-    if len(comps) <= 1:
-        return _ir_key(g.n, _ir_search(g)[0])
-    parts = sorted(canonical_key_any(induced(g, comp)) for comp in comps)
-    return b"U" + g.n.to_bytes(2, "big") + b"".join(len(p).to_bytes(2, "big") + p for p in parts)
+    return _ir_key(g.n, _ir_search(g)[0])
 
 
 def canonical_key(g: Graph) -> bytes:
@@ -310,17 +301,18 @@ def canonical_key(g: Graph) -> bytes:
 
 
 def canonical_key_and_generators(g: Graph) -> tuple[bytes, tuple[Perm, ...]]:
-    """canonical_key(g) and automorphisms of g: the ones a search of the
-    whole graph found plus the twin transpositions (forests get only the
-    latter).  They generate a subgroup of Aut(g), not always all of it."""
+    """canonical_key(g) and automorphisms of g.  A forest gets its `T` key
+    and the twin transpositions; any other graph gets one refinement
+    search, whose rows give the key and whose automorphisms, with the twin
+    transpositions, are the generators.  They generate a subgroup of
+    Aut(g), not always all of it."""
     if g.n > CANON_VERTEX_CAP:
         raise CapacityError(f"canonical_key supports n <= {CANON_VERTEX_CAP}")
     comps = connected_components(g)
     if g.n and g.edge_count() == g.n - len(comps):  # a forest
         return canonical_key_any(g), tuple(_twin_transpositions(_twin_masks(g.rows)))
     lab, found, twins = _ir_search(g)
-    key = _ir_key(g.n, lab) if len(comps) <= 1 else canonical_key_any(g)
-    return key, (*found, *_twin_transpositions(twins))
+    return _ir_key(g.n, lab), (*found, *_twin_transpositions(twins))
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
@@ -354,27 +346,20 @@ def _forest_from_codes(codes: Iterable[bytes]) -> Graph:
 
 
 def _decode(key: bytes) -> Graph:
-    """The graph a canonical key spells out: a forest from its codes, a
-    connected graph from its rows, a union from its parts in key order."""
+    """The graph a canonical key spells out: a forest from its codes, any
+    other graph from its rows."""
     tag, n, body = key[:1], int.from_bytes(key[1:3], "big"), key[3:]
     if tag == b"T":
         return _forest_from_codes(body.split(b"|"))
-    if tag == b"G":
-        w = (n + 7) // 8
-        return _fast_graph(n, tuple(int.from_bytes(body[i * w : (i + 1) * w], "big") for i in range(n)))
-    parts = []
-    while body:
-        size = int.from_bytes(body[:2], "big")
-        parts.append(_decode(body[2 : 2 + size]))
-        body = body[2 + size :]
-    return union_all(parts)
+    w = (n + 7) // 8
+    return _fast_graph(n, tuple(int.from_bytes(body[i * w : (i + 1) * w], "big") for i in range(n)))
 
 
 def canonical_form(g: Graph) -> Graph:
     """Canonically labelled copy: isomorphic inputs yield identical outputs.
 
     It is the graph that g's canonical key spells out, so a forest's
-    components come by (order, code) and a disconnected graph with a
-    cycle is the union of its components' forms in the order of their keys.
+    components come by (order, code) and any other graph is the copy
+    relabelled by its refinement search.
     """
     return _decode(canonical_key_any(g))

@@ -1,7 +1,7 @@
-"""graph6 (header-less, n <= 62) and DOT serialization."""
+"""graph6 (header-less, up to the vertex cap) and DOT serialization."""
 from __future__ import annotations
 
-from .graphs import CapacityError, Graph, _fast_graph
+from .graphs import VERTEX_CAP, CapacityError, Graph, _fast_graph
 
 
 class Graph6Error(ValueError):
@@ -22,9 +22,8 @@ def _triangle_bits(g: Graph) -> list[int]:
 
 
 def encode_graph6(g: Graph) -> str:
-    if g.n > 62:
-        raise CapacityError("graph6 encoding supports n <= 62")
-    out = [chr(63 + g.n)]
+    # the size is one byte for n <= 62, else "~" and three 6-bit digits
+    out = [chr(63 + g.n) if g.n <= 62 else "~" + "".join(chr(63 + (g.n >> k & 63)) for k in (12, 6, 0))]
     bits = _triangle_bits(g)
     for i in range(0, len(bits), 6):
         chunk = bits[i : i + 6]
@@ -42,20 +41,25 @@ def decode_graph6(text: str) -> Graph:
         s = s[len(">>graph6<<") :]
     if not s:
         raise Graph6Error("empty graph6 string", 0)
-    first = ord(s[0])
-    if first == 126:
-        raise Graph6Error("multi-byte sizes (n > 62) are not supported", 0)
-    if not 63 <= first <= 125:
-        raise Graph6Error(f"invalid size byte {s[0]!r}", 0)
-    n = first - 63
+    wide = s[0] == "~"
+    head = 4 if wide else 1
+    if len(s) < head:
+        raise Graph6Error("truncated size", len(s))
+    n = 0
+    for pos in range(wide, head):
+        if not 63 <= ord(s[pos]) <= 126:
+            raise Graph6Error(f"invalid size byte {s[pos]!r}", pos)
+        n = n << 6 | ord(s[pos]) - 63
+    if n > VERTEX_CAP:  # _fast_graph does not check the cap
+        raise CapacityError(f"graph6 input has more than {VERTEX_CAP} vertices")
     nbits = n * (n - 1) // 2
     nchars = (nbits + 5) // 6
-    if len(s) != 1 + nchars:
+    if len(s) != head + nchars:
         raise Graph6Error(
-            f"expected {1 + nchars} bytes for n={n}, got {len(s)}", min(len(s), 1 + nchars)
+            f"expected {head + nchars} bytes for n={n}, got {len(s)}", min(len(s), head + nchars)
         )
     bits: list[int] = []
-    for pos, ch in enumerate(s[1:], start=1):
+    for pos, ch in enumerate(s[head:], start=head):
         o = ord(ch)
         if not 63 <= o <= 126:
             raise Graph6Error(f"invalid data byte {ch!r}", pos)
@@ -63,7 +67,7 @@ def decode_graph6(text: str) -> Graph:
         bits.extend((val >> k) & 1 for k in range(5, -1, -1))
     for k in range(nbits, len(bits)):
         if bits[k]:
-            raise Graph6Error("nonzero padding bits", 1 + k // 6)
+            raise Graph6Error("nonzero padding bits", head + k // 6)
     rows = [0] * n
     idx = 0
     for j in range(1, n):

@@ -332,7 +332,11 @@ def decomposition_oracle(tree: BipartiteTree, spec: BalloonSpec) -> GraphFamily:
 
     The members are therefore exactly the e(T)-edge classes, with no
     isolated vertex, whose host contains T_o.  Two of them contain each
-    other only if they are isomorphic, so no containment check is needed."""
+    other only if they are isomorphic, so no containment check is needed.
+    Trees with more than 8 edges are refused up front, as by
+    `decomposition_family`: their classes outgrow `canonical_key`."""
+    if len(tree.edges) > 8:
+        raise CapacityError("decomposition_oracle caps at 8 edges (9 vertices)")
     t_o = build_balloon(tree, spec)
     side = default_oracle_side(tree, spec)
     e_t = len(tree.edges)

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import acyclic, random_tree, reference_forest_form
+from oddballoon import canon
 from oddballoon.canon import (
     _forest_from_codes,
     canonical_form,
@@ -152,8 +153,7 @@ def test_forest_vs_cyclic_keys_never_collide():
         for g in level:
             tag = canonical_key(g)[:1]
             forest = g.n > 0 and acyclic(g)  # the empty graph takes route G
-            assert (tag == b"T") == forest
-            assert (tag == b"U") == (not forest and len(connected_components(g)) > 1)
+            assert tag == (b"T" if forest else b"G")
 
 
 def _cyclic_piece(rng: random.Random, n: int, extra: int) -> Graph:
@@ -171,11 +171,10 @@ def _shuffled(rng: random.Random, pieces: list[Graph]) -> Graph:
 
 
 def test_disconnected_cyclic_graphs_against_networkx():
-    # unions of cyclic pieces, trees and isolated vertices take the U route;
-    # half the pairs are relabellings, half swap the first piece for another
-    # one with the same order and size
+    # unions of cyclic pieces, trees and isolated vertices, keyed whole by
+    # one refinement search; half the pairs are relabellings, half swap the
+    # first piece for another one with the same order and size
     nx = pytest.importorskip("networkx")
-    from oddballoon.graphs import induced
 
     def to_nx(g):
         out = nx.empty_graph(g.n)
@@ -198,13 +197,24 @@ def test_disconnected_cyclic_graphs_against_networkx():
         assert (canonical_key(g) == canonical_key(h)) == iso
         same += iso
         for x in (g, h):
-            assert canonical_key(x)[:1] == b"U"
-            comps = sorted((canonical_key(induced(x, c)), c) for c in connected_components(x))
             form = canonical_form(x)
-            assert form == union_all(canonical_form(induced(x, c)) for _, c in comps)
             assert canonical_form(form) == form
             assert canonical_key(form) == canonical_key(x)
     assert 150 < same < 250
+
+
+def test_generators_of_a_disconnected_cyclic_graph_take_one_search(monkeypatch):
+    # the key and the automorphisms come from the same search of the whole
+    # graph; no component is labelled again on its own
+    g = relabel(union_all([complete_graph(3), cycle_graph(4), path_graph(2)]), [4, 7, 0, 8, 2, 5, 1, 3, 6])
+    searches = []
+    search = canon._ir_search
+    monkeypatch.setattr(canon, "_ir_search", lambda h: searches.append(h) or search(h))
+    canonical_key_any.cache_clear()
+    key, gens = canonical_key_and_generators(g)
+    assert len(searches) == 1
+    assert key == canonical_key(g)
+    assert all(_is_automorphism(g, p) for p in gens)
 
 
 def _rook_4x4() -> Graph:

@@ -103,6 +103,19 @@ def test_construct_verify_roundtrip(capsys, tmp_path):
     assert "T_o not contained" in out
 
 
+def test_construct_verify_past_62_vertices(capsys, tmp_path):
+    # graph6 writes and reads hosts up to the vertex cap, not only n <= 62
+    out_file = tmp_path / "cand.json"
+    code, out, _ = run(capsys, "construct", str(SPECS / "k3.spec"), "-n", "70", "-o", str(out_file))
+    assert code == 0
+    host_file = tmp_path / "cand.g6"
+    host_file.write_text(json.loads(out_file.read_text())["graph6"])
+    assert decode_graph6(host_file.read_text()).n == 70
+    code, out, _ = run(capsys, "verify", str(host_file), str(SPECS / "k3.spec"))
+    assert code == 0
+    assert "T_o not contained" in out
+
+
 def test_construct_five_triangle_friendship(capsys, tmp_path):
     # k = 5: the f(4, 4) piece is built in closed form, not searched for
     spec = tmp_path / "friendship5.spec"

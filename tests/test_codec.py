@@ -1,8 +1,12 @@
+import random
+
 import pytest
 
 from helpers import petersen
 from oddballoon.codec import Graph6Error, decode_graph6, encode_graph6, export_dot
+from oddballoon.generate import random_graph
 from oddballoon.graphs import (
+    VERTEX_CAP,
     CapacityError,
     complete_graph,
     cycle_graph,
@@ -27,8 +31,24 @@ def test_header_tolerated():
 
 
 def test_capacity():
+    # past 62 vertices the size is "~" and three 6-bit digits: 129 = 2 * 64 + 1
     with pytest.raises(CapacityError):
-        encode_graph6(empty_graph(63))
+        decode_graph6("~?A@")
+    with pytest.raises(CapacityError):  # the 8-byte size form (n > 258047)
+        decode_graph6("~~??????")
+    assert decode_graph6(encode_graph6(empty_graph(VERTEX_CAP))) == empty_graph(VERTEX_CAP)
+
+
+@pytest.mark.parametrize("n", [63, 100, VERTEX_CAP])
+def test_four_byte_size_form_matches_networkx(n):
+    nx = pytest.importorskip("networkx")
+    g = random_graph(random.Random(n), n, 0.3)
+    text = encode_graph6(g)
+    assert text[0] == "~"
+    ref = nx.empty_graph(n)
+    ref.add_edges_from(g.edges())
+    assert text.encode() == nx.to_graph6_bytes(ref, header=False).strip()
+    assert decode_graph6(text) == g
 
 
 def test_malformed_inputs_report_offsets():
@@ -41,8 +61,11 @@ def test_malformed_inputs_report_offsets():
         decode_graph6("B" + chr(20))  # data byte below the printable range
     assert exc.value.offset == 1
     with pytest.raises(Graph6Error) as exc:
-        decode_graph6("~~~")  # multi-byte size marker
-    assert exc.value.offset == 0
+        decode_graph6("~?A")  # four-byte size form cut short
+    assert exc.value.offset == 3
+    with pytest.raises(Graph6Error) as exc:
+        decode_graph6("~?" + chr(20) + "~")  # size digit below the printable range
+    assert exc.value.offset == 2
     with pytest.raises(Graph6Error):
         decode_graph6("@@")  # trailing junk after a 1-vertex graph
 

@@ -283,6 +283,12 @@ def test_decomposition_capacity():
     spec = BalloonSpec(tuple((e, 3) for e in edges))
     with pytest.raises(CapacityError, match="8 edges"):
         decomposition_family(tree, spec)
+    # the oracle refuses before it builds a class: 9K2 alone has 18
+    # vertices, past canonical_key's 16
+    t0 = time.perf_counter()
+    with pytest.raises(CapacityError, match="8 edges"):
+        decomposition_oracle(tree, spec)
+    assert time.perf_counter() - t0 < 0.2
     at_cap = BipartiteTree(names[:9], edges[:8])
     assert len(decomposition_family(at_cap, BalloonSpec(spec.lengths[:8]))) == 2  # K_{1,8} and 8K2
 

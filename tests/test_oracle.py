@@ -110,8 +110,11 @@ def test_ex_exact_grows_one_child_per_orbit():
 
 
 def test_ex_exact_pinned_at_cap():
+    # the witness is the extremal class with the least key; every graph with
+    # a cycle, connected or not, is keyed by the rows of its refined copy, so
+    # for K_{1,4} that is K4 plus a cubic graph on 6 vertices
     for family, value, graph6 in [
-        ([star_graph(4)], 15, "IJWWKEA_W"),
+        ([star_graph(4)], 15, "IJ[?KMA`G"),
         ([K3], 25, "I?B~vrw}?"),
         ([cycle_graph(4)], 16, "IYQK`?LCw"),
         ([complete_graph(4)], 33, "I?~vf~}~_"),

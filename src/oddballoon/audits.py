@@ -175,14 +175,14 @@ def covering_audit(max_tree_size: int = 8, seed: int = 0) -> AuditResult:
     return AuditResult("covering", checked, bad, detail=f"{ka_specs} with B = {{K_a}}")
 
 
-def lemma1_audit(max_tree_edges: int = 4) -> AuditResult:
+def lemma1_audit() -> AuditResult:
     """Splitting/peeling family equals the definition-based oracle family,
-    for every tree with at most max_tree_edges edges and every assignment of
-    the lengths 3 and 5."""
+    for every tree with at most 4 edges and every assignment of the
+    lengths 3 and 5."""
     bad = []
     checked = 0
-    for n in range(2, max_tree_edges + 2):
-        for tg in trees_up_to(max_tree_edges + 1)[n]:
+    for n in range(2, 6):
+        for tg in trees_up_to(5)[n]:
             tree = _tree_from_graph(tg)
             for combo in product((3, 5), repeat=len(tree.edges)):
                 spec = _spec_with_lengths(tree, dict(zip(tree.edges, combo)))

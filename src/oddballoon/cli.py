@@ -7,31 +7,18 @@ import sys
 from pathlib import Path
 
 from .audits import AUDIT_NAMES, run_audit
-from .balloon import (
-    GoodnessError,
-    SpecFormatError,
-    analyze,
-    build_balloon,
-    load_spec,
-    validate_good,
-)
-from .codec import Graph6Error, decode_graph6, encode_graph6, export_dot
-from .construct import EdgeColoring, coloring_candidate, extremal_candidate
+from .balloon import analyze, build_balloon, load_spec, validate_good
+from .codec import decode_graph6, encode_graph6, export_dot
+from .construct import EdgeColoring, extremal_candidate
 from .decomp import b_family, decomposition_family, decomposition_oracle
 from .embed import contains_subgraph
 from .formulas import turan_number
-from .graphs import CapacityError, ParameterError
+from .graphs import ParameterError
 from .oracle import ex_bounded_degree_matching, ex_exact, f2_count_uncovered, f2_exact
 
-DOMAIN_ERRORS = (
-    CapacityError,
-    ParameterError,
-    SpecFormatError,
-    GoodnessError,
-    Graph6Error,
-    ValueError,
-    OSError,  # a missing or unreadable input file
-)
+# every domain error of the package subclasses ValueError; OSError is a
+# missing or unreadable input file
+DOMAIN_ERRORS = (ValueError, OSError)
 
 
 def _cmd_analyze(args) -> int:
@@ -105,7 +92,7 @@ def _cmd_construct(args) -> int:
         Path(args.dot).write_text(export_dot(cand.graph), encoding="utf-8")
         print(f"wrote {args.dot}")
     if args.coloring_out:
-        coloring = coloring_candidate(args.n, tree, spec)
+        coloring = EdgeColoring(args.n, frozenset(cand.graph.edges()))
         blob = {"n": coloring.n, "red": [list(e) for e in sorted(coloring.red)]}
         Path(args.coloring_out).write_text(json.dumps(blob) + "\n", encoding="utf-8")
         print(f"wrote {args.coloring_out}")
@@ -114,7 +101,15 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    host = decode_graph6(Path(args.host).read_text(encoding="utf-8"))
+    text = Path(args.host).read_text(encoding="utf-8")
+    # a .json host is what construct -o writes (load_spec's suffix rule); a
+    # leading "{" is no guide, as it is the size byte of every 60-vertex graph6
+    if Path(args.host).suffix == ".json":
+        data = json.loads(text)
+        if not isinstance(data, dict) or not isinstance(data.get("graph6"), str):
+            raise ParameterError(f'host {args.host}: expected a JSON object with a string "graph6" field')
+        text = data["graph6"]
+    host = decode_graph6(text)
     tree, spec = load_spec(args.spec)
     balloon = build_balloon(tree, spec)
     contained = contains_subgraph(host, balloon)
@@ -222,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("verify", help="check containment of the ballooning in a host")
-    p.add_argument("host", help="file holding a graph6 string")
+    p.add_argument("host", help="graph6 file, or the .json file that construct -o writes")
     p.add_argument("spec")
     p.set_defaults(func=_cmd_verify)
 

@@ -79,13 +79,10 @@ def decode_graph6(text: str) -> Graph:
     return _fast_graph(n, tuple(rows))
 
 
-def export_dot(g: Graph, labels: dict[int, str] | None = None) -> str:
+def export_dot(g: Graph) -> str:
     lines = ["graph G {"]
     for v in range(g.n):
-        if labels and v in labels:
-            lines.append(f'  {v} [label="{labels[v]}"];')
-        else:
-            lines.append(f"  {v};")
+        lines.append(f"  {v};")
     for u, v in g.edges():
         lines.append(f"  {u} -- {v};")
     lines.append("}")

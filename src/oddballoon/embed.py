@@ -176,18 +176,19 @@ def _search(
 ) -> bool:
     """Extend the seeded images img[order[:start]] (their host vertices are
     `used`; start defaults to plan.start) to an embedding; True iff one
-    exists."""
+    exists.
+
+    The caller guarantees that the seeded images already map each pattern
+    edge inside order[:start] to a host edge; they are not re-checked.
+    Anchored `contains_subgraph` seeds an edge onto a checked host edge,
+    `_embeds_at` seeds one vertex, and `_stabiliser_orbit` maps order[:d]
+    to itself and p to a q in p's cell of a refinement that splits by every
+    fixed singleton, so q has exactly p's fixed neighbours."""
     order = plan.order
     prev = plan.prev
     host_rows = host.rows
     if start is None:
         start = plan.start
-    # seeded assignments occupy order[:start]; verify their adjacency holds
-    for i in range(start):
-        w = img[order[i]]
-        for q in prev[i]:
-            if not host_rows[img[q]] >> w & 1:
-                return False
     last = len(order) - 1
     if start > last:
         return True

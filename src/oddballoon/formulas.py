@@ -19,15 +19,6 @@ def chvatal_hanson(nu: int, delta: int) -> int:
     return nu * delta + (delta // 2) * (nu // ((delta + 1) // 2))
 
 
-def abbott_value(k: int) -> int:
-    """The nu = delta = k-1 special case in closed piecewise form."""
-    if k < 1:
-        raise ParameterError("abbott_value needs k >= 1")
-    if k % 2 == 1:
-        return k * k - k
-    return k * k - 3 * k // 2
-
-
 def e_base(n: int, a: int) -> int:
     """Edges of the base construction: a-1 universal vertices joined to a
     balanced complete bipartite graph on the rest."""

@@ -171,29 +171,6 @@ def turan_graph(n: int, p: int) -> Graph:
     return from_edges(n, edges)
 
 
-_STANDARD_BUILDERS = {
-    "path": (path_graph, 1),
-    "cycle": (cycle_graph, 1),
-    "complete": (complete_graph, 1),
-    "empty": (empty_graph, 1),
-    "star": (star_graph, 1),
-    "complete_bipartite": (complete_bipartite, 2),
-    "turan": (turan_graph, 2),
-}
-
-
-def build_standard(kind: str, *params: int) -> Graph:
-    """Build a named standard graph: path/cycle/complete/empty/star/
-    complete_bipartite/turan."""
-    try:
-        builder, arity = _STANDARD_BUILDERS[kind]
-    except KeyError:
-        raise ParameterError(f"unknown standard graph kind {kind!r}") from None
-    if len(params) != arity:
-        raise ParameterError(f"{kind} expects {arity} parameter(s), got {len(params)}")
-    return builder(*params)
-
-
 # -- combination and transformation ------------------------------------
 
 

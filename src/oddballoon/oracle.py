@@ -361,20 +361,12 @@ def lemma_partition_audit(pg: PartitionedGraph, k: int, k1: int) -> PartitionAud
     return PartitionAudit(premises, lhs <= bound, lhs, bound)
 
 
-def degree_sum_audit(g: Graph, b: int, delta: int | None = None) -> bool:
-    """Check sum_v min{d(v), b} <= nu(G) * (b + delta).
-
-    delta is the lemma's free parameter: it must dominate the maximum degree
-    and satisfy b <= delta - 2; the default is the smallest valid value."""
+def degree_sum_audit(g: Graph, b: int) -> bool:
+    """Check sum_v min{d(v), b} <= nu(G) * (b + delta) at the least delta
+    the lemma admits, delta = max(Delta(G), b + 2).  The right side grows
+    with delta, so this case implies the lemma for every admissible delta."""
     if b < 0:
         raise ParameterError("b must be nonnegative")
-    dmax = g.max_degree()
-    if delta is None:
-        delta = max(dmax, b + 2)
-    if delta < b + 2 or dmax > delta:
-        raise ParameterError(
-            f"lemma hypothesis not met: need max degree <= delta and b <= delta-2 "
-            f"(got b={b}, delta={delta}, max degree={dmax})"
-        )
+    delta = max(g.max_degree(), b + 2)
     lhs = sum(min(d, b) for d in g.degrees())
     return lhs <= max_matching(g) * (b + delta)

@@ -103,6 +103,16 @@ def slow_uncovered(coloring, h: Graph) -> int:
     return count
 
 
+def abbott_value(k: int) -> int:
+    """f(k-1, k-1), the nu = delta = k-1 case of Chvatal-Hanson, in closed
+    piecewise form."""
+    if k < 1:
+        raise ParameterError("abbott_value needs k >= 1")
+    if k % 2 == 1:
+        return k * k - k
+    return k * k - 3 * k // 2
+
+
 def petersen() -> Graph:
     from oddballoon.graphs import from_edges
 

@@ -50,9 +50,9 @@ def test_covering_small():
 
 
 def test_lemma1_small():
-    res = lemma1_audit(max_tree_edges=3)
+    res = lemma1_audit()
     assert res.ok
-    assert res.samples == 2 + 4 + 2 * 8  # trees with 1..3 edges, lengths {3,5}
+    assert res.samples == 2 + 4 + 2 * 8 + 3 * 16  # trees with 1..4 edges, lengths {3,5}
 
 
 def test_partition():

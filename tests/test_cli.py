@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from oddballoon.balloon import load_spec
 from oddballoon.canon import is_isomorphic
 from oddballoon.cli import main
 from oddballoon.codec import decode_graph6, encode_graph6
@@ -89,18 +90,15 @@ def test_turan_json(capsys):
 
 
 def test_construct_verify_roundtrip(capsys, tmp_path):
-    out_file = tmp_path / "cand.json"
-    code, out, _ = run(
-        capsys, "construct", str(SPECS / "friendship3.spec"), "-n", "16", "-o", str(out_file)
-    )
-    assert code == 0
-    assert "T_o not contained" in out
-    payload = json.loads(out_file.read_text())
-    host_file = tmp_path / "cand.g6"
-    host_file.write_text(payload["graph6"])
-    code, out, _ = run(capsys, "verify", str(host_file), str(SPECS / "friendship3.spec"))
-    assert code == 0
-    assert "T_o not contained" in out
+    # verify reads the .json file that construct -o writes
+    for spec, n in (("friendship3.spec", "16"), ("k3.spec", "20")):
+        out_file = tmp_path / "cand.json"
+        code, out, _ = run(capsys, "construct", str(SPECS / spec), "-n", n, "-o", str(out_file))
+        assert code == 0
+        assert "T_o not contained" in out
+        code, out, _ = run(capsys, "verify", str(out_file), str(SPECS / spec))
+        assert code == 0
+        assert out == "T_o not contained\n"
 
 
 def test_construct_verify_past_62_vertices(capsys, tmp_path):
@@ -108,12 +106,33 @@ def test_construct_verify_past_62_vertices(capsys, tmp_path):
     out_file = tmp_path / "cand.json"
     code, out, _ = run(capsys, "construct", str(SPECS / "k3.spec"), "-n", "70", "-o", str(out_file))
     assert code == 0
+    assert decode_graph6(json.loads(out_file.read_text())["graph6"]).n == 70
+    code, out, _ = run(capsys, "verify", str(out_file), str(SPECS / "k3.spec"))
+    assert code == 0
+    assert out == "T_o not contained\n"
+
+
+def test_verify_60_vertex_graph6_host(capsys, tmp_path):
+    # the size byte of a 60-vertex graph6 string is "{", as a JSON object's
+    # first byte is; the .g6 suffix still reads it as graph6
+    out_file = tmp_path / "cand.json"
+    code, _, _ = run(capsys, "construct", str(SPECS / "k3.spec"), "-n", "60", "-o", str(out_file))
+    assert code == 0
     host_file = tmp_path / "cand.g6"
     host_file.write_text(json.loads(out_file.read_text())["graph6"])
-    assert decode_graph6(host_file.read_text()).n == 70
+    assert host_file.read_text().startswith("{")
     code, out, _ = run(capsys, "verify", str(host_file), str(SPECS / "k3.spec"))
     assert code == 0
-    assert "T_o not contained" in out
+    assert out == "T_o not contained\n"
+
+
+@pytest.mark.parametrize("text", ["[]", '{"graph6": 5}', '{"edge_count": 3}'], ids=["list", "int", "missing"])
+def test_verify_json_host_needs_graph6_field(capsys, tmp_path, text):
+    host_file = tmp_path / "cand.json"
+    host_file.write_text(text)
+    code, out, err = run(capsys, "verify", str(host_file), str(SPECS / "k3.spec"))
+    assert code == 1 and out == ""
+    assert 'string "graph6" field' in err
 
 
 def test_construct_five_triangle_friendship(capsys, tmp_path):
@@ -224,6 +243,30 @@ def test_construct_coloring_roundtrip(capsys, tmp_path):
     )
     assert code == 0
     assert json.loads(out)["uncovered"] >= 118
+
+
+def test_construct_coloring_out_builds_the_candidate_once(capsys, tmp_path, monkeypatch):
+    import oddballoon.cli as cli
+    import oddballoon.construct as construct
+
+    tree, spec = load_spec(SPECS / "double_star33.spec")
+    red = sorted(construct.coloring_candidate(20, tree, spec).red)
+    calls = []
+    built = construct.extremal_candidate
+
+    def counted(*args):
+        calls.append(args)
+        return built(*args)
+
+    monkeypatch.setattr(cli, "extremal_candidate", counted)
+    monkeypatch.setattr(construct, "extremal_candidate", counted)
+    cfile = tmp_path / "ds.json"
+    code, _, _ = run(
+        capsys, "construct", str(SPECS / "double_star33.spec"), "-n", "20", "--coloring-out", str(cfile)
+    )
+    assert code == 0
+    assert len(calls) == 1
+    assert cfile.read_text() == json.dumps({"n": 20, "red": [list(e) for e in red]}) + "\n"
 
 
 def test_audit_cli(capsys):

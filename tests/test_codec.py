@@ -77,7 +77,6 @@ def test_nonzero_padding_rejected():
 
 
 def test_dot_export():
-    dot = export_dot(star_graph(2), labels={0: "center"})
-    assert "graph G {" in dot
-    assert '0 [label="center"];' in dot
+    dot = export_dot(star_graph(2))
+    assert dot.startswith("graph G {\n  0;\n  1;\n  2;\n") and dot.endswith("}\n")
     assert "0 -- 1;" in dot and "0 -- 2;" in dot

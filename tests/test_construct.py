@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import max_b_free
+from helpers import abbott_value, max_b_free
 from oddballoon.audits import _tree_from_graph
 from oddballoon.balloon import BalloonSpec, GoodnessError, analyze, build_balloon, load_spec, parse_spec
 from oddballoon.canon import is_isomorphic
@@ -15,7 +15,7 @@ from oddballoon.construct import (
 )
 from oddballoon.decomp import GraphFamily, b_family
 from oddballoon.embed import contains_subgraph
-from oddballoon.formulas import abbott_value, chvatal_hanson, e_base, turan_number
+from oddballoon.formulas import chvatal_hanson, e_base, turan_number
 from oddballoon.generate import trees_up_to
 from oddballoon.graphs import (
     CapacityError,
@@ -142,6 +142,17 @@ def test_candidate_preconditions():
     tree, spec = parse_spec("tree: c-a c-b c-d\ncycles: c-a:3 c-b:3 c-d:3")
     with pytest.raises(ParameterError):
         extremal_candidate(4, tree, spec)
+
+
+def test_candidate_side_too_small_for_bipartite_piece():
+    # k = 3, a = 1: n = 6 passes the size check, but X1 has 3 < 2(k - 1)
+    # vertices for K_{2,2}; at n = 7 it has 4
+    tree, spec = load_spec(SPECS / "star3_five.spec")
+    with pytest.raises(ParameterError, match="complete bipartite piece"):
+        extremal_candidate(6, tree, spec)
+    cand = extremal_candidate(7, tree, spec)
+    assert cand.graph.edge_count() == turan_number(7, tree, spec).total
+    assert not contains_subgraph(cand.graph, build_balloon(tree, spec))
 
 
 def test_coloring_candidate_matches_construction():

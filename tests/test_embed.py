@@ -2,6 +2,7 @@ import random
 import time
 from itertools import permutations
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -284,6 +285,34 @@ def test_greedy_order_continues_its_own_prefixes(pattern_spec, rng):
     assert order[: len(seed)] == seed and sorted(order) == core
     for d in range(max(len(seed) - 1, 0), len(order)):
         assert embed._pattern_order(pattern, core, order[: d + 1]) == order, (pattern.rows, seed, d)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=9).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_stabiliser_orbit_seeds_are_edge_preserving(pattern_spec, rng):
+    # _search does not re-check its seed: with order[:d] fixed, a vertex q
+    # in p's refined cell must be adjacent to every fixed neighbour of p
+    n, bits = pattern_spec
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    pattern = from_edges(n, [p for p, bit in zip(pairs, bits) if bit])
+    core = [v for v in range(n) if pattern.rows[v]]
+    plan = embed._Plan(pattern, tuple(rng.sample(core, rng.randint(0, min(2, len(core))))))
+    search = embed._search
+
+    def checked(host, plan, img, used, start=None, refute=True):
+        for i in range(start):
+            w = img[plan.order[i]]
+            assert all(host.has_edge(img[q], w) for q in plan.prev[i]), (pattern.rows, plan.order, start, img)
+        return search(host, plan, img, used, start, refute)
+
+    with mock.patch.object(embed, "_search", checked):
+        for d in range(plan.start, len(plan.order)):
+            embed._stabiliser_orbit(plan, d)
 
 
 def test_host_degree_masks():

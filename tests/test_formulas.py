@@ -1,7 +1,8 @@
 import pytest
 
+from helpers import abbott_value
 from oddballoon.balloon import parse_spec
-from oddballoon.formulas import abbott_value, chvatal_hanson, e_base, turan_number
+from oddballoon.formulas import chvatal_hanson, e_base, turan_number
 from oddballoon.graphs import ParameterError
 
 

@@ -5,7 +5,6 @@ from oddballoon.graphs import (
     Graph,
     ParameterError,
     add_vertex,
-    build_standard,
     complete_bipartite,
     complete_graph,
     connected_components,
@@ -33,24 +32,18 @@ def test_standard_builders():
     assert complete_graph(6).edge_count() == 15
 
 
-def test_build_standard_dispatch():
-    assert build_standard("turan", 5, 2).edge_count() == 6
-    assert build_standard("star", 3).n == 4
+def test_builder_refusals():
     with pytest.raises(ParameterError):
-        build_standard("turan", 5)
+        cycle_graph(2)
     with pytest.raises(ParameterError):
-        build_standard("moebius", 5)
-    with pytest.raises(ParameterError):
-        build_standard("cycle", 2)
-    with pytest.raises(ParameterError):
-        build_standard("turan", 5, 0)
+        turan_graph(5, 0)
 
 
 def test_turan_edge_count_formula():
     # number of pairs in distinct parts
     for n in range(0, 15):
         for p in range(1, 5):
-            g = build_standard("turan", n, p)
+            g = turan_graph(n, p)
             sizes = [n // p + (1 if i < n % p else 0) for i in range(p)]
             expected = (n * n - sum(s * s for s in sizes)) // 2
             assert g.edge_count() == expected

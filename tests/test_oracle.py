@@ -280,11 +280,10 @@ def test_partition_audit_premise_failure_detected():
 
 def test_degree_sum_audit():
     assert degree_sum_audit(complete_graph(4), 1)  # 4 <= 2*4
-    assert degree_sum_audit(empty_graph(5), 0, delta=2)
+    assert degree_sum_audit(empty_graph(5), 0)
+    assert degree_sum_audit(complete_graph(4), 5)  # delta = b + 2 = 7 > Delta
     with pytest.raises(ParameterError):
-        degree_sum_audit(complete_graph(4), 5, delta=4)  # b > delta - 2
-    with pytest.raises(ParameterError):
-        degree_sum_audit(complete_graph(5), 1, delta=3)  # max degree above delta
+        degree_sum_audit(complete_graph(4), -1)
     rng = random.Random(11)
     for _ in range(300):
         g = random_graph(rng, rng.randint(2, 10), rng.uniform(0.2, 0.8))

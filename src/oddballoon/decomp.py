@@ -8,7 +8,7 @@ from itertools import combinations
 from .balloon import BalloonSpec, BipartiteTree, _norm, balloon_order, bipartition, build_balloon
 from .canon import _decode, _forest_key, canonical_key, tree_code
 from .embed import contains_subgraph
-from .generate import edge_growth_classes
+from .generate import trees_up_to
 from .graphs import (
     VERTEX_CAP,
     CapacityError,
@@ -21,6 +21,7 @@ from .graphs import (
     induced,
     iter_bits,
     strip_isolated,
+    union_all,
 )
 from .matching import max_matching
 
@@ -318,7 +319,8 @@ def decomposition_oracle(tree: BipartiteTree, spec: BalloonSpec) -> GraphFamily:
     one side contains the ballooning.  The host side is
     `default_oracle_side`, past which no larger host changes an answer.
 
-    Only the classes with exactly e(T) edges are planted, by parity:
+    Only forests with exactly e(T) edges and maximum degree at most
+    Delta(T) are planted.  First, by parity:
 
     - the host without M's edges is bipartite, so every odd cycle of the
       host uses an odd number of M-edges;
@@ -330,21 +332,64 @@ def decomposition_oracle(tree: BipartiteTree, spec: BalloonSpec) -> GraphFamily:
       M - f, stripped of isolated vertices, is already non-free: M is not
       minimal.
 
-    The members are therefore exactly the e(T)-edge classes, with no
-    isolated vertex, whose host contains T_o.  Two of them contain each
-    other only if they are isomorphic, so no containment check is needed.
-    Trees with more than 8 edges are refused up front, as by
-    `decomposition_family`: their classes outgrow `canonical_key`."""
+    So let e(M) = e(T) and let the host contain T_o.  Then each cycle C_uv
+    of T_o (the cycle through the tree edge uv) uses exactly one M-edge,
+    and each M-edge is used by exactly one cycle.  A vertex of T_o lies on
+    one cycle unless it is a tree vertex t, which lies on deg_T(t) of them.
+
+    - Degree lemma, Delta(M) <= Delta(T): the d >= 2 M-edges at a vertex x
+      are used by d distinct cycles, all through the preimage of x, so it
+      is a tree vertex t on d cycles and deg_T(t) >= d.
+    - Forest lemma, M is a forest: every vertex on a cycle of M has two
+      M-edges, so by the above it is the image of a tree vertex.  The only
+      edge of C_uv between two tree vertices is uv, so each edge of that
+      cycle is the image of a tree edge, and the cycle maps back to a
+      cycle in T, which has none.
+
+    The members are therefore exactly these forests, with no isolated
+    vertex, whose host contains T_o.  Two of them contain each other only
+    if they are isomorphic, so no containment check is needed.  Trees with
+    more than 8 edges are refused up front, as by `decomposition_family`:
+    their classes outgrow `canonical_key`."""
     if len(tree.edges) > 8:
         raise CapacityError("decomposition_oracle caps at 8 edges (9 vertices)")
     t_o = build_balloon(tree, spec)
     side = default_oracle_side(tree, spec)
-    e_t = len(tree.edges)
     fam = GraphFamily()
-    for cand in edge_growth_classes(max_edges=e_t):
-        if cand.edge_count() == e_t and contains_subgraph(_embedding_host(side, cand), t_o):
-            fam.add(cand, trace="oracle")
+    for key, cand in _forests(len(tree.edges), tree.graph().max_degree()).items():
+        if contains_subgraph(_embedding_host(side, cand), t_o):
+            fam._insert(key, "oracle")
     return fam
+
+
+def _forests(edges: int, max_degree: int) -> dict[bytes, Graph]:
+    """Every forest with this many edges, no isolated vertex and maximum
+    degree at most max_degree, one per multiset of trees from `trees_up_to`
+    whose edge counts sum to edges: canonical key -> the union of the trees.
+
+    The union lists its largest trees first.  `contains_subgraph` tries
+    host vertices in label order, so the planted vertices that can carry
+    the tree's high-degree vertices are tried first; smallest first makes
+    the 29-vertex balloon of a 6-vertex path about ten times slower."""
+    pool = [
+        (t, tree_code(t.rows, t.vertices_mask()))
+        for level in trees_up_to(edges + 1)[2:]
+        for t in level
+        if t.max_degree() <= max_degree
+    ]
+    pool.reverse()  # most edges first
+    out: dict[bytes, Graph] = {}
+
+    def extend(start: int, left: int, parts: list[tuple[Graph, bytes]]) -> None:
+        if not left:
+            out[_forest_key(code for _, code in parts)] = union_all(t for t, _ in parts)
+            return
+        for i in range(start, len(pool)):
+            if pool[i][0].edge_count() <= left:
+                extend(i, left - pool[i][0].edge_count(), parts + [pool[i]])
+
+    extend(0, edges, [])
+    return out
 
 
 def b_family(tree: BipartiteTree, spec: BalloonSpec) -> GraphFamily:

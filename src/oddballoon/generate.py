@@ -7,11 +7,10 @@ Two growth routines, each keying its candidates with `canon`:
   Callers: `graph_levels` and `oracle.ex_exact`.
 - `edge_growth_classes` adds one edge at a time from K_2 and keeps the
   candidates that pass one isomorphism-invariant filter.  Callers:
-  `decomp.decomposition_oracle` (no filter, up to e(T) edges),
   `small_edge_classes` (every class up to a size, for tests; its cache
   stays because the bench self-test pins it), `trees_up_to` (audits,
-  tests and bench cases), `oracle._connected_bounded_classes` and
-  `oracle.star_matching_max`.
+  the forests of `decomp.decomposition_oracle`, tests and bench cases),
+  `oracle._connected_bounded_classes` and `oracle.star_matching_max`.
 """
 from __future__ import annotations
 

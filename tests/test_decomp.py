@@ -35,6 +35,7 @@ from oddballoon.graphs import (
     CapacityError,
     ParameterError,
     complete_graph,
+    connected_components,
     disjoint_union,
     empty_graph,
     from_edges,
@@ -397,8 +398,8 @@ def _keyed_traces(fam: GraphFamily) -> list[tuple[bytes, str | None]]:
 
 def _six_vertex_cases():
     """One draw of lengths from {3,5,7} per 6-vertex tree, redrawn until
-    |T_o| <= 19: these take about 0.05 s each, 27- and 29-vertex T_o take
-    0.4-4 s."""
+    |T_o| <= 19: these take about 0.05 s each; 27- to 31-vertex T_o take
+    up to 4 s on trees other than the path."""
     rng = random.Random(0)
     for tg in trees_up_to(6)[6]:
         tree = _tree_from_graph(tg)
@@ -421,8 +422,10 @@ def test_oracle_matches_reference_sweep():
 
 
 def test_oracle_host_builds(monkeypatch):
-    # only classes with exactly e(T) edges are planted: 618 hosts over the
-    # 70 specs, where planting every class with <= e(T)+1 edges built 2,502
+    # only forests with exactly e(T) edges and max degree <= Delta(T) are
+    # planted: 386 hosts over the 70 specs (458 forests less the 72 of too
+    # high degree), where every e(T)-edge class built 618 and every class
+    # with <= e(T)+1 edges 2,502
     built = 0
     plant = decomp._embedding_host
 
@@ -434,7 +437,53 @@ def test_oracle_host_builds(monkeypatch):
     monkeypatch.setattr(decomp, "_embedding_host", counting)
     for tree, spec in _length_cases(5):
         decomposition_oracle(tree, spec)
-    assert built == 618
+    assert built == 386
+
+
+def test_forests_match_edge_classes():
+    # the forests the oracle plants, built from multisets of trees, against
+    # the forests among all e-edge classes: same keys, and each planted
+    # graph is the forest its key names
+    for e in range(1, 7):
+        classes = [g for g in small_edge_classes(e, 2 * e) if g.edge_count() == e and _is_forest(g)]
+        for max_degree in range(1, e + 1):
+            forests = decomp._forests(e, max_degree)
+            assert set(forests) == {canonical_key(g) for g in classes if g.max_degree() <= max_degree}
+            assert all(canonical_key(g) == key for key, g in forests.items())
+    assert [len(decomp._forests(8, d)) for d in range(1, 9)] == [1, 22, 87, 129, 145, 151, 153, 154]
+
+
+def _is_forest(g) -> bool:
+    return g.edge_count() == g.n - len(connected_components(g))
+
+
+def test_forest_and_degree_lemmas():
+    # the oracle's two lemmas checked apart from the oracle: a host whose
+    # planted e(T)-edge class has a cycle or a vertex of degree above
+    # Delta(T) is T_o-free
+    cases = list(_length_cases(5))
+    assert len(cases) == 70
+    for tree, spec in cases + list(_six_vertex_cases()):
+        e_t = len(tree.edges)
+        t_o = build_balloon(tree, spec)
+        side = default_oracle_side(tree, spec)
+        max_degree = tree.graph().max_degree()
+        for cand in small_edge_classes(e_t, 2 * e_t):
+            if cand.edge_count() == e_t and (not _is_forest(cand) or cand.max_degree() > max_degree):
+                assert not contains_subgraph(decomp._embedding_host(side, cand), t_o), (tree.edges, spec.lengths)
+
+
+@pytest.mark.parametrize(
+    "cycles",
+    [
+        "0-1:7 0-2:7 1-3:7 2-4:5 3-5:7",  # |T_o| = 29
+        "0-1:7 0-2:7 1-3:7 2-4:7 3-5:7",  # |T_o| = 31
+    ],
+)
+def test_oracle_matches_family_on_long_six_vertex_path(cycles):
+    tree, spec = parse_spec(f"tree: 0-1 0-2 1-3 2-4 3-5\ncycles: {cycles}")
+    orc = decomposition_oracle(tree, spec)
+    assert len(orc) == 7 and orc.iso_equal(decomposition_family(tree, spec))
 
 
 def test_parity_lemma():

@@ -12,9 +12,12 @@ from .graphs import (
     CapacityError,
     Graph,
     ParameterError,
+    add_edges,
+    complete_bipartite,
     complete_graph,
     empty_graph,
     from_edges,
+    join,
     union_all,
 )
 from .matching import max_matching
@@ -103,9 +106,10 @@ def extremal_small_f(k: int) -> Graph:
 
 
 def extremal_candidate(n: int, tree: BipartiteTree, spec: BalloonSpec) -> LabeledConstruction:
-    """The paper-shaped candidate: a-1 universal vertices over a balanced
-    complete bipartite graph, with the covering-family-free graph inside the
-    universal set and the small extremal piece inside the larger side."""
+    """The paper-shaped candidate: a-1 universal vertices joined to a
+    balanced complete bipartite graph, with the covering-family-free graph
+    inside the universal set and the small extremal piece inside the
+    larger side."""
     rep = analyze(tree, spec)
     a, k = rep.a, rep.k
     if n < a - 1 + 2 * (k - 1) + 2:
@@ -114,38 +118,23 @@ def extremal_candidate(n: int, tree: BipartiteTree, spec: BalloonSpec) -> Labele
         raise CapacityError(f"n={n} exceeds the vertex cap")
 
     m = n - a + 1
-    x = tuple(range(a - 1))
-    x1 = tuple(range(a - 1, a - 1 + (m + 1) // 2))  # larger side takes the embedding
-    x2 = tuple(range(a - 1 + (m + 1) // 2, n))
-    # universal vertices joined to everything outside x; x itself stays empty
-    edges: list[tuple[int, int]] = [(u, v) for u in x for v in range(a - 1, n)]
-    edges += [(u, v) for u in x1 for v in x2]
-
+    s1 = (m + 1) // 2  # the larger side takes the piece
     if rep.branch == "k_gt_k1":
-        # the middle term's witness lives on 0..a-2, which is exactly x
-        x_edges = tuple(_middle_term(tree, spec, a).witness.edges())
-        edges += list(x_edges)
-        piece = None
-        embedded: tuple[int, ...] = ()
-        if k >= 2:
-            if 2 * (k - 1) > len(x1):
-                raise ParameterError("side too small for the complete bipartite piece")
-            left = x1[: k - 1]
-            right = x1[k - 1 : 2 * (k - 1)]
-            edges += [(u, v) for u in left for v in right]
-            embedded = tuple(left + right)
+        # the middle term's witness has a-1 vertices, so the join puts it on x
+        x_piece = _middle_term(tree, spec, a).witness
+        piece = complete_bipartite(k - 1, k - 1)
+        if piece.n > s1:
+            raise ParameterError("side too small for the complete bipartite piece")
     else:
         assert a == 1, "the equal-branch arises only for all-triangle stars"
-        x_edges = ()
+        x_piece = empty_graph(0)
         piece = extremal_small_f(k)
-        if piece.n > len(x1):
+        if piece.n > s1:
             raise ParameterError("side too small for the embedded extremal piece")
-        offset = x1[0]
-        edges += [(offset + u, offset + v) for u, v in piece.edges()]
-        embedded = tuple(offset + v for v in range(piece.n))
-
-    graph = from_edges(n, edges)
-    return LabeledConstruction(graph, x, x1, x2, embedded, tuple(x_edges))
+    graph = join(x_piece, add_edges(complete_bipartite(s1, m - s1), piece.edges()))
+    x1 = tuple(range(a - 1, a - 1 + s1))
+    x2 = tuple(range(a - 1 + s1, n))
+    return LabeledConstruction(graph, tuple(range(a - 1)), x1, x2, x1[: piece.n], tuple(x_piece.edges()))
 
 
 def coloring_candidate(n: int, tree: BipartiteTree, spec: BalloonSpec) -> EdgeColoring:

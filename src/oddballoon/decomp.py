@@ -349,8 +349,10 @@ def decomposition_oracle(tree: BipartiteTree, spec: BalloonSpec) -> GraphFamily:
     The members are therefore exactly these forests, with no isolated
     vertex, whose host contains T_o.  Two of them contain each other only
     if they are isomorphic, so no containment check is needed.  Trees with
-    more than 8 edges are refused up front, as by `decomposition_family`:
-    their classes outgrow `canonical_key`."""
+    more than 8 edges are refused up front: the cap mirrors
+    `decomposition_family`, whose output this oracle checks, and it stands
+    in for a time budget: below it, 27- to 31-vertex balloons of 6-vertex
+    trees already take seconds, most of it in negative host queries."""
     if len(tree.edges) > 8:
         raise CapacityError("decomposition_oracle caps at 8 edges (9 vertices)")
     t_o = build_balloon(tree, spec)

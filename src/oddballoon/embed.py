@@ -72,11 +72,11 @@ def _host_degree_masks(host: Graph) -> tuple[int, ...]:
     return tuple(masks)
 
 
-def _pattern_order(pattern: Graph, core: list[int], seed: Sequence[int] = ()) -> list[int]:
-    """Connectivity-greedy order over core vertices, optionally starting from
-    pre-assigned seed vertices.  Each step depends only on the vertices
-    already chosen, so the order continues any of its own prefixes that
-    hold the seed."""
+def _pattern_order(pattern: Graph, core: list[int], seed: Sequence[int]) -> list[int]:
+    """Connectivity-greedy order over core vertices, starting from the
+    pre-assigned seed vertices (possibly none).  Each step depends only on
+    the vertices already chosen, so the order continues any of its own
+    prefixes that hold the seed."""
     rows = pattern.rows
     chosen = list(seed)
     chosen_mask = 0

@@ -149,7 +149,7 @@ def _subset_orbit_reps(n: int, gens: tuple[Perm, ...]) -> list[int] | range:
     return reps
 
 
-def edge_growth_classes(keep: Filter | None = None, max_edges: int | None = None) -> list[Graph]:
+def edge_growth_classes(keep: Filter, max_edges: int | None = None) -> list[Graph]:
     """All iso-classes of graphs with no isolated vertices and at most
     max_edges edges (no bound if None) that grow from K_2 by adding an
     internal edge, a pendant vertex or a disjoint edge, through classes
@@ -166,7 +166,7 @@ def edge_growth_classes(keep: Filter | None = None, max_edges: int | None = None
     connectivity: a connected graph other than K_2 has no K_2 component.
     """
     k2 = from_edges(2, [(0, 1)])
-    if keep is not None and not keep(k2):
+    if not keep(k2):
         return []
     classes: list[Graph] = [k2]
     level = [k2]
@@ -186,7 +186,7 @@ def edge_growth_classes(keep: Filter | None = None, max_edges: int | None = None
                 candidates.append(add_vertex(g, 1 << u))
             candidates.append(add_vertex(add_vertex(g, 0), 1 << g.n))
             for cand in candidates:
-                if keep is not None and not keep(cand):
+                if not keep(cand):
                     continue
                 key = canonical_key_any(cand)
                 if key not in seen:

@@ -146,7 +146,7 @@ def star_graph(k: int) -> Graph:
 def complete_bipartite(a: int, b: int) -> Graph:
     if a < 0 or b < 0:
         raise ParameterError("complete bipartite needs nonnegative sides")
-    return from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+    return join(empty_graph(a), empty_graph(b))
 
 
 def turan_graph(n: int, p: int) -> Graph:
@@ -244,7 +244,7 @@ def add_edges(g: Graph, edges: Iterable[tuple[int, int]]) -> Graph:
     return _fast_graph(g.n, tuple(rows))
 
 
-def add_vertex(g: Graph, neighbors_mask: int = 0) -> Graph:
+def add_vertex(g: Graph, neighbors_mask: int) -> Graph:
     """Append a new vertex adjacent to the given bitmask of old vertices."""
     if g.n >= VERTEX_CAP:
         raise CapacityError(f"{g.n + 1} vertices exceeds cap {VERTEX_CAP}")

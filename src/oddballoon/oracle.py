@@ -19,7 +19,6 @@ from .graphs import (
     CapacityError,
     Graph,
     ParameterError,
-    bit_indices,
     connected_components,
     empty_graph,
     from_edges,
@@ -286,7 +285,7 @@ class PartitionedGraph:
 
     def side_edges(self, i: int) -> int:
         m = self.mask(i)
-        return induced(self.graph, m).edge_count()
+        return sum((self.graph.rows[v] & m).bit_count() for v in iter_bits(m)) // 2
 
     def cross_edges(self) -> int:
         m0 = self.mask(0)
@@ -314,6 +313,23 @@ def partition_premise_patterns(k: int, k1: int) -> list[Graph]:
     return [_star_union(k - ell, ell) for ell in sorted(ells) if k - ell >= 1]
 
 
+def _side_premises(g: Graph, own: int, other: int, patterns: list[Graph], k: int, k1: int) -> bool:
+    """The premises on one side: G[own] is free of every pattern, each own
+    vertex v has d_own(v) + nu(G[N_other(v)]) <= k-1, and, when k > k1, an
+    own vertex with d_own(v) = k-1 has no other-side edge at N_other(v)."""
+    g_own = induced(g, own)
+    if any(contains_subgraph(g_own, p) for p in patterns):
+        return False
+    for v in iter_bits(own):
+        d_own = (g.rows[v] & own).bit_count()
+        nb = g.rows[v] & other
+        if d_own + (max_matching(induced(g, nb)) if nb else 0) > k - 1:
+            return False
+        if k > k1 and d_own == k - 1 and any(g.rows[u] & other for u in iter_bits(nb)):
+            return False
+    return True
+
+
 def lemma_partition_audit(pg: PartitionedGraph, k: int, k1: int) -> PartitionAudit:
     """Check the partitioned-graph inequality: under the freeness, degree and
     isolation premises, e(G_0)+e(G_1) - (|V_0||V_1| - e(G_cr)) stays below
@@ -324,32 +340,8 @@ def lemma_partition_audit(pg: PartitionedGraph, k: int, k1: int) -> PartitionAud
         raise CapacityError("lemma_partition_audit caps at 20 vertices")
     g = pg.graph
     masks = (pg.mask(0), pg.mask(1))
-    sides = (pg.v0, pg.v1)
     patterns = partition_premise_patterns(k, k1)
-
-    premises = True
-    for i in (0, 1):
-        gi = induced(g, masks[i])
-        if any(contains_subgraph(gi, p) for p in patterns):
-            premises = False
-            break
-        other = masks[1 - i]
-        for v in sides[i]:
-            d_in = (g.rows[v] & masks[i]).bit_count()
-            nb_other = g.rows[v] & other
-            nu_nb = max_matching(induced(g, nb_other)) if nb_other else 0
-            if d_in + nu_nb > k - 1:
-                premises = False
-                break
-            if k > k1 and d_in == k - 1:
-                g_other = induced(g, other)
-                pos = {u: idx for idx, u in enumerate(bit_indices(other))}
-                if any(g_other.rows[pos[u]] for u in iter_bits(nb_other)):
-                    premises = False
-                    break
-        if not premises:
-            break
-
+    premises = all(_side_premises(g, masks[i], masks[1 - i], patterns, k, k1) for i in (0, 1))
     e0 = pg.side_edges(0)
     e1 = pg.side_edges(1)
     ecr = pg.cross_edges()

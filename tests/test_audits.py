@@ -96,4 +96,4 @@ def test_run_audit_dispatch():
     import pytest
 
     with pytest.raises(KeyError):
-        run_audit("nope")
+        run_audit("nope", samples=10, seed=0)

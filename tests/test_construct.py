@@ -138,6 +138,37 @@ def test_candidate_structure_roles():
     assert cand.graph.edge_count() == turan_number(25, tree, spec).total
 
 
+def test_roles_describe_the_candidate():
+    # rebuilt from its roles alone, the candidate has no other edge: X is
+    # universal to X1 u X2, X1 x X2 is complete, x_edges lie inside X, and
+    # inside X1 there is only the piece on embedded_x1 (K_{k-1,k-1} split in
+    # halves, or extremal_small_f(k) laid on it in order)
+    checked = 0
+    for path in sorted(SPECS.iterdir()):
+        tree, spec = load_spec(path)
+        try:
+            rep = analyze(tree, spec)
+        except GoodnessError:
+            continue
+        for n in (20, 40, 70):
+            cand = extremal_candidate(n, tree, spec)
+            x, x1, x2, emb = cand.x, cand.x1, cand.x2, cand.embedded_x1
+            assert x + x1 + x2 == tuple(range(n)) and len(x) == rep.a - 1 and len(x1) - len(x2) in (0, 1)
+            assert emb == x1[: len(emb)] and all(u in x and v in x for u, v in cand.x_edges)
+            edges = [(u, v) for u in x for v in x1 + x2] + [(u, v) for u in x1 for v in x2]
+            edges += cand.x_edges
+            if rep.branch == "k_gt_k1":
+                assert len(emb) == 2 * (rep.k - 1)
+                edges += [(u, v) for u in emb[: rep.k - 1] for v in emb[rep.k - 1 :]]
+            else:
+                piece = extremal_small_f(rep.k)
+                assert len(emb) == piece.n
+                edges += [(emb[u], emb[v]) for u, v in piece.edges()]
+            assert from_edges(n, edges).rows == cand.graph.rows, (path.name, n)
+            checked += 1
+    assert checked == 3 * 15
+
+
 def test_candidate_preconditions():
     tree, spec = parse_spec("tree: c-a c-b c-d\ncycles: c-a:3 c-b:3 c-d:3")
     with pytest.raises(ParameterError):

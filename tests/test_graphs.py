@@ -78,7 +78,7 @@ def test_capacity_cap():
     with pytest.raises(CapacityError):
         empty_graph(129)
     with pytest.raises(CapacityError):
-        add_vertex(empty_graph(128))
+        add_vertex(empty_graph(128), 0)
     with pytest.raises(CapacityError):
         disjoint_union(empty_graph(64), empty_graph(65))
     with pytest.raises(CapacityError):

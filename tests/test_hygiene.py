@@ -131,13 +131,10 @@ TEST_ONLY_OPTIONS = {
 }
 
 
-def test_every_option_is_set():
-    # every defaulted parameter of a module-level function of the package is
-    # passed, by keyword or by position, by some call in src/ or bench/ to a
-    # function of that name; an option only tests set is an option no
-    # caller needs, unless TEST_ONLY_OPTIONS names it
-    keywords: dict[str, set[str]] = {}
-    positions: dict[str, float] = {}
+def _calls():
+    """(name, positional count, starred, keyword names) of every call in
+    src/ or bench/ to a name or an attribute; a **mapping counts as the
+    keyword "**"."""
     for folder in (SRC, ROOT / "bench"):
         for path in sorted(folder.glob("*.py")):
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -148,16 +145,50 @@ def test_every_option_is_set():
                 if name is None:
                     continue
                 starred = any(isinstance(a, ast.Starred) for a in node.args)
-                count = float("inf") if starred else len(node.args)
-                positions[name] = max(positions.get(name, 0), count)
-                for kw in node.keywords:  # kw.arg is None for **mapping: it may set any option
-                    keywords.setdefault(name, set()).add(kw.arg or "**")
-    unset = {
-        (func, param): path.name
+                yield name, len(node.args), starred, {kw.arg or "**" for kw in node.keywords}
+
+
+def _package_defaults():
+    """{(function, parameter): (position or None, module file name)} of every
+    defaulted parameter of a module-level function of the package."""
+    return {
+        (func, param): (pos, path.name)
         for path in sorted(SRC.glob("*.py"))
         for func, param, pos in _defaulted_parameters(ast.parse(path.read_text(encoding="utf-8")))
+    }
+
+
+def test_every_option_is_set():
+    # every defaulted parameter of a module-level function of the package is
+    # passed, by keyword or by position, by some call in src/ or bench/ to a
+    # function of that name; an option only tests set is an option no
+    # caller needs, unless TEST_ONLY_OPTIONS names it
+    keywords: dict[str, set[str]] = {}
+    positions: dict[str, float] = {}
+    for name, count, starred, kws in _calls():
+        positions[name] = max(positions.get(name, 0), float("inf") if starred else count)
+        keywords.setdefault(name, set()).update(kws)
+    unset = {
+        (func, param): where
+        for (func, param), (pos, where) in _package_defaults().items()
         if not {param, "**"} & keywords.get(func, set())
         and (pos is None or positions.get(func, 0) <= pos)
     }
     assert [f"{unset[o]}: {o[0]}({o[1]}=...)" for o in sorted(unset.keys() - TEST_ONLY_OPTIONS.keys())] == []
     assert sorted(TEST_ONLY_OPTIONS.keys() - unset.keys()) == []  # an entry a caller now sets goes
+
+
+def test_every_default_is_used():
+    # every defaulted parameter of a module-level function of the package is
+    # left out by some call in src/ or bench/ to a function of that name; a
+    # default that every caller overrides restates the callers' value, so the
+    # parameter should be required. A starred or ** call may leave out any.
+    defaults = _package_defaults()
+    omitted = {
+        (func, param)
+        for name, count, starred, kws in _calls()
+        for (func, param), (pos, _) in defaults.items()
+        if func == name and (starred or "**" in kws or (param not in kws and (pos is None or count <= pos)))
+    }
+    unused = [f"{where}: {f}({p}=...)" for (f, p), (_, where) in sorted(defaults.items()) if (f, p) not in omitted]
+    assert unused == []

@@ -1,6 +1,7 @@
 """Turan numbers, decomposition families and extremal constructions for
 good odd-balloonings of trees, with brute-force oracles at desk scale."""
 
+from .audits import PartitionedGraph, degree_sum_audit, lemma_partition_audit
 from .balloon import (
     AnalysisReport,
     BalloonSpec,
@@ -16,7 +17,6 @@ from .balloon import (
 from .canon import canonical_form, canonical_key, is_isomorphic
 from .codec import decode_graph6, encode_graph6, export_dot
 from .construct import (
-    EdgeColoring,
     LabeledConstruction,
     coloring_candidate,
     extremal_candidate,
@@ -49,13 +49,11 @@ from .graphs import (
 )
 from .matching import max_matching, min_vertex_cover
 from .oracle import (
-    PartitionedGraph,
-    degree_sum_audit,
+    EdgeColoring,
     ex_bounded_degree_matching,
     ex_exact,
     f2_count_uncovered,
     f2_exact,
-    lemma_partition_audit,
     star_matching_max,
 )
 

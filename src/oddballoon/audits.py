@@ -2,7 +2,9 @@
 
 Each audit draws reproducible samples from an explicit seed, checks the
 lemma's statement literally, and returns the counterexamples found (an
-empty list certifies the run).
+empty list certifies the run).  Two checks take one instance each:
+`lemma_partition_audit` tests the partitioned-graph inequality on a
+`PartitionedGraph`, and `degree_sum_audit` the degree-sum inequality.
 """
 from __future__ import annotations
 
@@ -12,15 +14,17 @@ from itertools import product
 
 from .balloon import BalloonSpec, BipartiteTree, bipartition
 from .decomp import b_family, decomposition_family, decomposition_oracle, split_vertices
+from .embed import contains_subgraph
+from .formulas import chvatal_hanson
 from .generate import (
     graph_levels,
     random_bipartite_graph,
     random_graph,
     trees_up_to,
 )
-from .graphs import Graph, ParameterError, complete_graph, is_bipartite
+from .graphs import CapacityError, Graph, ParameterError, complete_graph, induced, is_bipartite, iter_bits
 from .matching import hall_violating_set, max_matching, min_vertex_cover
-from .oracle import PartitionedGraph, degree_sum_audit, lemma_partition_audit
+from .oracle import partition_premise_patterns
 
 
 @dataclass(frozen=True)
@@ -49,6 +53,94 @@ def _spec_with_lengths(tree: BipartiteTree, lengths: dict | int) -> BalloonSpec:
     if isinstance(lengths, int):
         return BalloonSpec(tuple((e, lengths) for e in tree.edges))
     return BalloonSpec(tuple(sorted(lengths.items())))
+
+
+@dataclass(frozen=True)
+class PartitionedGraph:
+    """A graph with an ordered vertex bipartition (V_0, V_1)."""
+
+    graph: Graph
+    v0: tuple[int, ...]
+    v1: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        all_v = sorted(self.v0 + self.v1)
+        if all_v != list(range(self.graph.n)):
+            raise ParameterError("v0, v1 must partition the vertex set")
+
+    def mask(self, i: int) -> int:
+        verts = self.v0 if i == 0 else self.v1
+        m = 0
+        for v in verts:
+            m |= 1 << v
+        return m
+
+    def side_edges(self, i: int) -> int:
+        m = self.mask(i)
+        return sum((self.graph.rows[v] & m).bit_count() for v in iter_bits(m)) // 2
+
+    def cross_edges(self) -> int:
+        m0 = self.mask(0)
+        return sum((self.graph.rows[v] & m0).bit_count() for v in self.v1)
+
+
+@dataclass(frozen=True)
+class PartitionAudit:
+    premises_hold: bool
+    inequality_holds: bool
+    lhs: int
+    bound: int
+
+
+def _side_premises(g: Graph, own: int, other: int, patterns: list[Graph], k: int, k1: int) -> bool:
+    """The premises on one side: G[own] is free of every pattern, each own
+    vertex v has d_own(v) + nu(G[N_other(v)]) <= k-1, and, when k > k1, an
+    own vertex with d_own(v) = k-1 has no other-side edge at N_other(v)."""
+    g_own = induced(g, own)
+    if any(contains_subgraph(g_own, p) for p in patterns):
+        return False
+    for v in iter_bits(own):
+        d_own = (g.rows[v] & own).bit_count()
+        nb = g.rows[v] & other
+        if d_own + (max_matching(induced(g, nb)) if nb else 0) > k - 1:
+            return False
+        if k > k1 and d_own == k - 1 and any(g.rows[u] & other for u in iter_bits(nb)):
+            return False
+    return True
+
+
+def lemma_partition_audit(pg: PartitionedGraph, k: int, k1: int) -> PartitionAudit:
+    """Check the partitioned-graph inequality: under the freeness, degree and
+    isolation premises, e(G_0)+e(G_1) - (|V_0||V_1| - e(G_cr)) stays below
+    (k-1)^2 when k > k1 and below f(k-1,k-1) when k = k1."""
+    if k < k1:
+        raise ParameterError("need k >= k1")
+    if pg.graph.n > 20:
+        raise CapacityError("lemma_partition_audit caps at 20 vertices")
+    g = pg.graph
+    masks = (pg.mask(0), pg.mask(1))
+    patterns = partition_premise_patterns(k, k1)
+    premises = all(_side_premises(g, masks[i], masks[1 - i], patterns, k, k1) for i in (0, 1))
+    e0 = pg.side_edges(0)
+    e1 = pg.side_edges(1)
+    ecr = pg.cross_edges()
+    lhs = e0 + e1 - (len(pg.v0) * len(pg.v1) - ecr)
+    if k > k1:
+        bound = (k - 1) ** 2
+    else:
+        bound = chvatal_hanson(k - 1, k - 1) if k >= 1 else 0
+    return PartitionAudit(premises, lhs <= bound, lhs, bound)
+
+
+def degree_sum_audit(g: Graph, b: int) -> bool:
+    """Check sum_v min{d(v), b} <= nu(G) * (b + delta) at the least delta
+    the lemma admits, delta = max(Delta(G), b + 2).  The right side grows
+    with delta, so this case implies the lemma for every admissible delta."""
+    if b < 0:
+        raise ParameterError("b must be nonnegative")
+    delta = max(g.max_degree(), b + 2)
+    lhs = sum(min(d, b) for d in g.degrees())
+    return lhs <= max_matching(g) * (b + delta)
 
 
 def konig_audit(samples: int, seed: int) -> AuditResult:
@@ -104,14 +196,14 @@ def degree_sum_random_audit(samples: int, seed: int) -> AuditResult:
     return AuditResult("degree-sum", samples, bad)
 
 
-def wang_audit(max_tree_size: int = 8) -> AuditResult:
+def wang_audit() -> AuditResult:
     """Splitting any single vertex of A in a tree with min degree over A at
     least 2 leaves a matching of size at least a-1+k; exhaustive over all
-    trees up to the given size."""
+    trees with at most 8 vertices."""
     bad = []
     checked = 0
-    for n in range(2, max_tree_size + 1):
-        for tg in trees_up_to(max_tree_size)[n]:
+    for n in range(2, 9):
+        for tg in trees_up_to(8)[n]:
             tree = _tree_from_graph(tg)
             side_a, side_b = bipartition(tree)
             orientations = [side_a] if len(side_a) < len(side_b) else [side_a, side_b]
@@ -128,9 +220,9 @@ def wang_audit(max_tree_size: int = 8) -> AuditResult:
     return AuditResult("wang", checked, bad)
 
 
-def covering_audit(max_tree_size: int = 8, *, seed: int) -> AuditResult:
-    """Two statements over all trees up to the given size, with all-triangle,
-    all-pentagon and one random odd-length assignment each:
+def covering_audit(seed: int) -> AuditResult:
+    """Two statements over all trees with at most 8 vertices, with
+    all-triangle, all-pentagon and one random odd-length assignment each:
     the covering family is {K_a} iff beta(T) = a, and min degree over A of
     at least 2 forces beta(T) = a.  The detail counts the specs with
     B = {K_a}, so both sides of the iff are seen to be exercised."""
@@ -138,8 +230,8 @@ def covering_audit(max_tree_size: int = 8, *, seed: int) -> AuditResult:
     bad = []
     checked = 0
     ka_specs = 0
-    for n in range(2, max_tree_size + 1):
-        for tg in trees_up_to(max_tree_size)[n]:
+    for n in range(2, 9):
+        for tg in trees_up_to(8)[n]:
             tree = _tree_from_graph(tg)
             assignments = [3, 5]
             random_lengths = {e: rng.choice([3, 5, 7]) for e in tree.edges}

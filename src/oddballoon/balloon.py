@@ -10,7 +10,6 @@ from .graphs import (
     VERTEX_CAP,
     CapacityError,
     Graph,
-    _fast_graph,
     add_edges,
     bipartition_sides,
     bit_indices,
@@ -94,17 +93,8 @@ def _check_tree(n: int, edges: list[Edge]) -> None:
         raise StructureError("duplicate edge in tree section")
     if len(edges) != n - 1:
         raise StructureError(f"{len(edges)} edges on {n} vertices is not a tree")
-    if len(connected_components(_edge_graph(n, edges))) != 1:
+    if len(connected_components(from_edges(n, edges))) != 1:
         raise StructureError("edge set is disconnected (cycle elsewhere)")
-
-
-def _edge_graph(n: int, edges: list[Edge] | tuple[Edge, ...]) -> Graph:
-    """The graph of a valid edge list, without the vertex cap check."""
-    rows = [0] * n
-    for u, v in edges:
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    return _fast_graph(n, tuple(rows))
 
 
 def _build(edge_names: list[tuple[str, str]], cycle_items: list[tuple[str, str, int]]):
@@ -247,7 +237,7 @@ def bipartition(
     Ties (|A| = |B|) go to the side that makes the spec good when one does;
     otherwise to the side holding the lexicographically least vertex name.
     """
-    s0, s1 = (tuple(bit_indices(side)) for side in bipartition_sides(_edge_graph(tree.n, tree.edges)))
+    s0, s1 = (tuple(bit_indices(side)) for side in bipartition_sides(tree.graph()))
     if len(s0) < len(s1):
         return s0, s1
     if len(s1) < len(s0):

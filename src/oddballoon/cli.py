@@ -9,12 +9,12 @@ from pathlib import Path
 from .audits import AUDIT_NAMES, run_audit
 from .balloon import analyze, build_balloon, load_spec, validate_good
 from .codec import decode_graph6, encode_graph6, export_dot
-from .construct import EdgeColoring, extremal_candidate
+from .construct import extremal_candidate
 from .decomp import b_family, decomposition_family, decomposition_oracle
 from .embed import contains_subgraph
 from .formulas import turan_number
 from .graphs import ParameterError
-from .oracle import ex_bounded_degree_matching, ex_exact, f2_count_uncovered, f2_exact
+from .oracle import EdgeColoring, ex_bounded_degree_matching, ex_exact, f2_count_uncovered, f2_exact
 
 # every domain error of the package subclasses ValueError; OSError is a
 # missing or unreadable input file

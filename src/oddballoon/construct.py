@@ -3,7 +3,6 @@ red/blue coloring used for the monochromatic-copy counterexamples."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .balloon import BalloonSpec, BipartiteTree, analyze
 from .formulas import _middle_term, chvatal_hanson
@@ -21,6 +20,7 @@ from .graphs import (
     union_all,
 )
 from .matching import max_matching
+from .oracle import EdgeColoring
 
 
 @dataclass(frozen=True)
@@ -47,29 +47,6 @@ class LabeledConstruction:
             "embedded_x1": list(self.embedded_x1),
             "x_edges": [list(e) for e in self.x_edges],
         }
-
-
-@dataclass(frozen=True)
-class EdgeColoring:
-    """Red/blue coloring of the complete graph on n vertices, stored as the
-    red edge set; every other pair is blue."""
-
-    n: int
-    red: frozenset[tuple[int, int]]
-
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ParameterError(f"coloring needs n >= 0, got {self.n}")
-        for u, v in self.red:
-            if not (0 <= u < v < self.n):
-                raise ParameterError(f"bad red edge ({u},{v})")
-
-    def red_graph(self) -> Graph:
-        return from_edges(self.n, self.red)
-
-    def blue_graph(self) -> Graph:
-        blue = [e for e in combinations(range(self.n), 2) if e not in self.red]
-        return from_edges(self.n, blue)
 
 
 def extremal_small_f(k: int) -> Graph:

@@ -17,9 +17,12 @@ from .graphs import (
     _fast_graph,
     complete_graph,
     connected_components,
+    disjoint_union,
+    empty_graph,
     from_edges,
     induced,
     iter_bits,
+    join,
     strip_isolated,
     union_all,
 )
@@ -278,17 +281,7 @@ def _outcome_table(
 
 def _embedding_host(side: int, m: Graph) -> Graph:
     """Balanced complete bipartite host with m planted in one side."""
-    n = 2 * side
-    x_mask = (1 << side) - 1
-    y_mask = ((1 << side) - 1) << side
-    rows = []
-    for v in range(side):
-        row = y_mask
-        if v < m.n:
-            row |= m.rows[v]
-        rows.append(row)
-    rows.extend(x_mask for _ in range(side))
-    return _fast_graph(n, tuple(rows))
+    return join(disjoint_union(m, empty_graph(side - m.n)), empty_graph(side))
 
 
 def default_oracle_side(tree: BipartiteTree, spec: BalloonSpec) -> int:

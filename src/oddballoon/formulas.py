@@ -6,7 +6,9 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 from .balloon import BalloonSpec, BipartiteTree, analyze
+from .decomp import b_family
 from .graphs import ParameterError
+from .oracle import ex_exact
 
 
 def chvatal_hanson(nu: int, delta: int) -> int:
@@ -90,7 +92,4 @@ def _middle_term(tree: BipartiteTree, spec: BalloonSpec, a: int):
     B-free graph the construction places inside its universal set.  Cached,
     so a `turan_number` and an `extremal_candidate` on one spec build the
     covering family once."""
-    from .decomp import b_family
-    from .oracle import ex_exact
-
     return ex_exact(a - 1, b_family(tree, spec))

@@ -114,7 +114,9 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 def empty_graph(n: int) -> Graph:
     if n < 0:
         raise ParameterError("empty graph needs n >= 0")
-    return Graph(n, (0,) * n)
+    if n > VERTEX_CAP:
+        raise CapacityError(f"{n} vertices exceeds cap {VERTEX_CAP}")
+    return _fast_graph(n, (0,) * n)
 
 
 def complete_graph(n: int) -> Graph:
@@ -155,20 +157,10 @@ def turan_graph(n: int, p: int) -> Graph:
         raise ParameterError("turan graph needs n >= 0")
     if p < 1:
         raise ParameterError("turan graph needs p >= 1")
-    sizes = [n // p + (1 if i < n % p else 0) for i in range(p)]
-    parts = []
-    start = 0
-    for s in sizes:
-        parts.append(range(start, start + s))
-        start += s
-    edges = [
-        (u, v)
-        for i, pi in enumerate(parts)
-        for pj in parts[i + 1 :]
-        for u in pi
-        for v in pj
-    ]
-    return from_edges(n, edges)
+    g = empty_graph(0)
+    for i in range(p):
+        g = join(g, empty_graph(n // p + (1 if i < n % p else 0)))
+    return g
 
 
 # -- combination and transformation ------------------------------------

@@ -1,19 +1,18 @@
 """Independent brute-force ground truth: exact Turan numbers on small
-vertex counts, bounded matching/degree maxima, exhaustive edge-coloring
-searches, and audit operations for the inequality lemmas."""
+vertex counts, bounded matching/degree maxima and exhaustive edge-coloring
+searches.  The module imports nothing it checks: only the graph kernel,
+canonical keys, containment, generation and matching."""
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .canon import _decode, canonical_form, canonical_key, canonical_key_any
 from .embed import contains_subgraph
-from .formulas import chvatal_hanson
 from .generate import Memo, _vertex_growth, edge_growth_classes
 from .graphs import (
     CapacityError,
@@ -22,15 +21,10 @@ from .graphs import (
     connected_components,
     empty_graph,
     from_edges,
-    induced,
-    iter_bits,
     star_graph,
     union_all,
 )
 from .matching import max_matching
-
-if TYPE_CHECKING:  # EdgeColoring lives with the constructions; duck-typed here
-    from .construct import EdgeColoring
 
 
 @dataclass(frozen=True)
@@ -170,6 +164,19 @@ def ex_bounded_degree_matching(nu: int, delta: int) -> int:
     return max_edges_bounded(nu, delta)[0]
 
 
+def _star_union(j: int, ell: int) -> Graph:
+    k2 = from_edges(2, [(0, 1)])
+    return union_all([star_graph(j)] + [k2] * ell)
+
+
+def partition_premise_patterns(k: int, k1: int) -> list[Graph]:
+    """The family {S_{k-l} u l K_2 : 0 <= l <= min(k-k1, k-2) or l = k-1}."""
+    ells = set(range(0, min(k - k1, k - 2) + 1)) if min(k - k1, k - 2) >= 0 else set()
+    if k - 1 >= 0:
+        ells.add(k - 1)
+    return [_star_union(k - ell, ell) for ell in sorted(ells) if k - ell >= 1]
+
+
 def star_matching_max(k: int) -> tuple[int, list[Graph]]:
     """Maximum edges over {S_k, kK_2, S_{k-1} u K_2}-free graphs without
     isolated vertices, with all extremal witnesses up to isomorphism."""
@@ -241,7 +248,30 @@ def f2_exact(n: int, h: Graph) -> int:
     return int(num_edges - _popcount32(covered).min())
 
 
-def f2_count_uncovered(coloring: "EdgeColoring", h: Graph) -> int:
+@dataclass(frozen=True)
+class EdgeColoring:
+    """Red/blue coloring of the complete graph on n vertices, stored as the
+    red edge set; every other pair is blue."""
+
+    n: int
+    red: frozenset[tuple[int, int]]
+
+    def __post_init__(self) -> None:
+        if self.n < 0:
+            raise ParameterError(f"coloring needs n >= 0, got {self.n}")
+        for u, v in self.red:
+            if not (0 <= u < v < self.n):
+                raise ParameterError(f"bad red edge ({u},{v})")
+
+    def red_graph(self) -> Graph:
+        return from_edges(self.n, self.red)
+
+    def blue_graph(self) -> Graph:
+        blue = [e for e in combinations(range(self.n), 2) if e not in self.red]
+        return from_edges(self.n, blue)
+
+
+def f2_count_uncovered(coloring: EdgeColoring, h: Graph) -> int:
     """Edges of the colored complete graph lying in no monochromatic copy of
     h; anchored containment per edge inside its own color class."""
     n = coloring.n
@@ -258,107 +288,3 @@ def f2_count_uncovered(coloring: "EdgeColoring", h: Graph) -> int:
             if not contains_subgraph(g, h, anchor=e):
                 count += 1
     return count
-
-
-# -- lemma audits ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PartitionedGraph:
-    """A graph with an ordered vertex bipartition (V_0, V_1)."""
-
-    graph: Graph
-    v0: tuple[int, ...]
-    v1: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        all_v = sorted(self.v0 + self.v1)
-        if all_v != list(range(self.graph.n)):
-            raise ParameterError("v0, v1 must partition the vertex set")
-
-    def mask(self, i: int) -> int:
-        verts = self.v0 if i == 0 else self.v1
-        m = 0
-        for v in verts:
-            m |= 1 << v
-        return m
-
-    def side_edges(self, i: int) -> int:
-        m = self.mask(i)
-        return sum((self.graph.rows[v] & m).bit_count() for v in iter_bits(m)) // 2
-
-    def cross_edges(self) -> int:
-        m0 = self.mask(0)
-        return sum((self.graph.rows[v] & m0).bit_count() for v in self.v1)
-
-
-@dataclass(frozen=True)
-class PartitionAudit:
-    premises_hold: bool
-    inequality_holds: bool
-    lhs: int
-    bound: int
-
-
-def _star_union(j: int, ell: int) -> Graph:
-    k2 = from_edges(2, [(0, 1)])
-    return union_all([star_graph(j)] + [k2] * ell)
-
-
-def partition_premise_patterns(k: int, k1: int) -> list[Graph]:
-    """The family {S_{k-l} u l K_2 : 0 <= l <= min(k-k1, k-2) or l = k-1}."""
-    ells = set(range(0, min(k - k1, k - 2) + 1)) if min(k - k1, k - 2) >= 0 else set()
-    if k - 1 >= 0:
-        ells.add(k - 1)
-    return [_star_union(k - ell, ell) for ell in sorted(ells) if k - ell >= 1]
-
-
-def _side_premises(g: Graph, own: int, other: int, patterns: list[Graph], k: int, k1: int) -> bool:
-    """The premises on one side: G[own] is free of every pattern, each own
-    vertex v has d_own(v) + nu(G[N_other(v)]) <= k-1, and, when k > k1, an
-    own vertex with d_own(v) = k-1 has no other-side edge at N_other(v)."""
-    g_own = induced(g, own)
-    if any(contains_subgraph(g_own, p) for p in patterns):
-        return False
-    for v in iter_bits(own):
-        d_own = (g.rows[v] & own).bit_count()
-        nb = g.rows[v] & other
-        if d_own + (max_matching(induced(g, nb)) if nb else 0) > k - 1:
-            return False
-        if k > k1 and d_own == k - 1 and any(g.rows[u] & other for u in iter_bits(nb)):
-            return False
-    return True
-
-
-def lemma_partition_audit(pg: PartitionedGraph, k: int, k1: int) -> PartitionAudit:
-    """Check the partitioned-graph inequality: under the freeness, degree and
-    isolation premises, e(G_0)+e(G_1) - (|V_0||V_1| - e(G_cr)) stays below
-    (k-1)^2 when k > k1 and below f(k-1,k-1) when k = k1."""
-    if k < k1:
-        raise ParameterError("need k >= k1")
-    if pg.graph.n > 20:
-        raise CapacityError("lemma_partition_audit caps at 20 vertices")
-    g = pg.graph
-    masks = (pg.mask(0), pg.mask(1))
-    patterns = partition_premise_patterns(k, k1)
-    premises = all(_side_premises(g, masks[i], masks[1 - i], patterns, k, k1) for i in (0, 1))
-    e0 = pg.side_edges(0)
-    e1 = pg.side_edges(1)
-    ecr = pg.cross_edges()
-    lhs = e0 + e1 - (len(pg.v0) * len(pg.v1) - ecr)
-    if k > k1:
-        bound = (k - 1) ** 2
-    else:
-        bound = chvatal_hanson(k - 1, k - 1) if k >= 1 else 0
-    return PartitionAudit(premises, lhs <= bound, lhs, bound)
-
-
-def degree_sum_audit(g: Graph, b: int) -> bool:
-    """Check sum_v min{d(v), b} <= nu(G) * (b + delta) at the least delta
-    the lemma admits, delta = max(Delta(G), b + 2).  The right side grows
-    with delta, so this case implies the lemma for every admissible delta."""
-    if b < 0:
-        raise ParameterError("b must be nonnegative")
-    delta = max(g.max_degree(), b + 2)
-    lhs = sum(min(d, b) for d in g.degrees())
-    return lhs <= max_matching(g) * (b + delta)

@@ -204,8 +204,8 @@ def test_criterion_9_lemma_audits():
         results.append(hall_audit(samples=per_seed, seed=seed))
         results.append(degree_sum_random_audit(samples=per_seed, seed=seed))
         results.append(partition_audit(samples=per_seed, seed=seed))
-    results.append(wang_audit(max_tree_size=8))
-    results.append(covering_audit(max_tree_size=8, seed=0))
+    results.append(wang_audit())
+    results.append(covering_audit(0))
     ok = all(r.ok for r in results)
     detail = "; ".join(sorted({r.name for r in results}))
     _report(9, f"zero counterexamples across audits ({detail})", ok, time.perf_counter() - t0, 900)

@@ -40,13 +40,14 @@ def test_degree_sum():
 
 
 def test_wang_exhaustive_small():
-    res = wang_audit(max_tree_size=7)
-    assert res.ok and res.samples > 0
+    res = wang_audit()
+    assert res.ok and res.samples == 33
 
 
 def test_covering_small():
-    res = covering_audit(max_tree_size=6, seed=0)
-    assert res.ok and res.samples > 0
+    res = covering_audit(0)
+    assert res.ok and res.samples == 141
+    assert res.detail == "120 with B = {K_a}"
 
 
 def test_lemma1_small():

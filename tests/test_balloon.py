@@ -16,7 +16,8 @@ from oddballoon.balloon import (
     validate_good,
 )
 from oddballoon.canon import is_isomorphic
-from oddballoon.graphs import cycle_graph, from_edges, is_bipartite
+from oddballoon.cli import main
+from oddballoon.graphs import CapacityError, cycle_graph, from_edges, is_bipartite
 
 
 def spec(text):
@@ -201,11 +202,32 @@ def test_branch_tie_insensitivity_over_tree_corpus():
 
 
 def test_build_balloon_capacity():
-    from oddballoon.graphs import CapacityError
-
     tree, s = spec("tree: a-b\ncycles: a-b:131")
     with pytest.raises(CapacityError):
         build_balloon(tree, s)
+
+
+def _path_spec(n):
+    edges = [(f"v{i}", f"v{i + 1}") for i in range(n - 1)]
+    text = "tree: " + " ".join(f"{u}-{v}" for u, v in edges) + "\ncycles: " + " ".join(f"{u}-{v}:3" for u, v in edges)
+    data = {"tree": [list(e) for e in edges], "cycles": {f"{u}-{v}": 3 for u, v in edges}}
+    return text, json.dumps(data)
+
+
+def test_parse_refuses_trees_past_the_vertex_cap(tmp_path, capsys):
+    # a tree is built by the capped kernel, so a spec past 128 vertices is
+    # refused when it is parsed, not after a quadratic goodness check
+    text, data = _path_spec(128)
+    assert parse_spec(text)[0].n == parse_spec_json(data)[0].n == 128
+    text, data = _path_spec(129)
+    with pytest.raises(CapacityError, match="exceeds cap 128"):
+        parse_spec(text)
+    with pytest.raises(CapacityError, match="exceeds cap 128"):
+        parse_spec_json(data)
+    path = tmp_path / "path129.spec"
+    path.write_text(text, encoding="utf-8")
+    assert main(["analyze", str(path)]) == 1
+    assert "exceeds cap 128" in capsys.readouterr().err
 
 
 def test_goodness_single_sided_violation():

@@ -30,6 +30,20 @@ def test_no_unused_imports(path):
     assert _unused_imports(path) == []
 
 
+def test_imports_at_module_top():
+    # every import of the package sits in its module's body, so the modules
+    # import in one order and none hides a dependency inside a function or
+    # a TYPE_CHECKING block
+    nested = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for tree in [ast.parse(path.read_text(encoding="utf-8"))]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and node not in tree.body
+    ]
+    assert nested == []
+
+
 def _private_definitions(tree: ast.Module):
     """Module-level private functions, classes and constants, dunders aside."""
     for node in tree.body:
@@ -124,8 +138,6 @@ def _defaulted_parameters(tree: ast.Module):
 
 # options that only tests set, each kept for a named reason
 TEST_ONLY_OPTIONS = {
-    ("wang_audit", "max_tree_size"): "acceptance criterion 9 runs the audits on larger trees",
-    ("covering_audit", "max_tree_size"): "acceptance criterion 9 runs the audits on larger trees",
     ("graph_levels", "forbidden"): "the OEIS count tests and helpers.reference_ex_exact",
     ("main", "argv"): "the CLI tests call main with an argument list",
 }

@@ -7,10 +7,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import brute_contains, graph_from_mask, max_b_free, reference_ex_exact, slow_f2, slow_uncovered
+from oddballoon.audits import PartitionedGraph, degree_sum_audit, lemma_partition_audit
 from oddballoon.balloon import build_balloon, load_spec
 from oddballoon.canon import canonical_form, is_isomorphic
 from oddballoon.codec import encode_graph6
-from oddballoon.construct import EdgeColoring
 from oddballoon.embed import contains_subgraph
 from oddballoon.formulas import chvatal_hanson
 from oddballoon.generate import graph_levels, random_graph
@@ -29,13 +29,11 @@ from oddballoon.graphs import (
     union_all,
 )
 from oddballoon.oracle import (
-    PartitionedGraph,
-    degree_sum_audit,
+    EdgeColoring,
     ex_bounded_degree_matching,
     ex_exact,
     f2_count_uncovered,
     f2_exact,
-    lemma_partition_audit,
     star_matching_max,
 )
 

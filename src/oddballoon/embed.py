@@ -247,6 +247,12 @@ def contains_subgraph(
     p'q' onto the anchor with p' -> u turns, through an automorphism s with
     s(p) = p', into one mapping p to u and the neighbour s^-1(q') of p to v.
     """
+    if anchor is not None:
+        u, v = anchor
+        if not (0 <= u < host.n and 0 <= v < host.n):
+            raise ParameterError(f"anchor ({u},{v}) is not a pair of host vertices")
+        if not host.has_edge(u, v):
+            raise ParameterError(f"anchor ({u},{v}) is not a host edge")
     if pattern.n > host.n or pattern.edge_count() > host.edge_count():
         return False
     img = [0] * pattern.n
@@ -255,9 +261,6 @@ def contains_subgraph(
             return True  # only isolated vertices; size check above suffices
         return _search(host, _plan(pattern, ()), img, 0)
 
-    u, v = anchor
-    if not host.has_edge(u, v):
-        raise ParameterError(f"anchor ({u},{v}) is not a host edge")
     du, dv = host.degree(u), host.degree(v)
     for p in _seed_reps(pattern):
         if pattern.degree(p) > du:

@@ -1,19 +1,18 @@
 """Independent brute-force ground truth: exact Turan numbers on small
-vertex counts, bounded matching/degree maxima and exhaustive edge-coloring
-searches.  The module imports nothing it checks: only the graph kernel,
-canonical keys, containment, generation and matching."""
+vertex counts, bounded matching/degree maxima, and the 2-coloring maximum
+f2 as the largest per-coloring count over red graphs up to isomorphism.
+The module imports nothing it checks: only the graph kernel, canonical
+keys, containment, generation and matching."""
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
-
-import numpy as np
+from itertools import combinations
 
 from .canon import _decode, canonical_form, canonical_key, canonical_key_any
 from .embed import contains_subgraph
-from .generate import Memo, _vertex_growth, edge_growth_classes
+from .generate import Memo, _vertex_growth, edge_growth_classes, graph_levels
 from .graphs import (
     CapacityError,
     Graph,
@@ -199,55 +198,6 @@ def star_matching_max(k: int) -> tuple[int, list[Graph]]:
 # -- monochromatic-copy colorings ----------------------------------------
 
 
-def _copy_edge_masks(n: int, h: Graph) -> list[int]:
-    """Edge bitmasks (over the C(n,2) pair index) of every copy of h in K_n."""
-    pairs = list(combinations(range(n), 2))
-    pair_idx = {p: i for i, p in enumerate(pairs)}
-    core = [v for v in range(h.n) if h.rows[v]]
-    core_edges = [(u, v) for u, v in h.edges()]
-    masks: set[int] = set()
-    for image in permutations(range(n), len(core)):
-        pos = dict(zip(core, image))
-        mask = 0
-        for u, v in core_edges:
-            a, b = pos[u], pos[v]
-            mask |= 1 << pair_idx[(a, b) if a < b else (b, a)]
-        masks.add(mask)
-    return sorted(masks)
-
-
-_POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
-
-
-def _popcount32(arr: np.ndarray) -> np.ndarray:
-    out = _POPCOUNT8[arr & 0xFF].astype(np.uint32)
-    out += _POPCOUNT8[(arr >> 8) & 0xFF]
-    out += _POPCOUNT8[(arr >> 16) & 0xFF]
-    out += _POPCOUNT8[(arr >> 24) & 0xFF]
-    return out
-
-
-def f2_exact(n: int, h: Graph) -> int:
-    """Maximum over all 2-edge-colorings of K_n of the number of edges in no
-    monochromatic copy of h.  One designated edge is fixed red (swapping the
-    colors preserves the count, so this halves the search exactly)."""
-    if n > 7:
-        raise CapacityError("f2_exact enumerates colorings only for n <= 7")
-    if n < 0:
-        raise ParameterError("f2_exact needs n >= 0")
-    num_edges = n * (n - 1) // 2
-    if h.n > n or h.edge_count() == 0:
-        return num_edges
-    copies = _copy_edge_masks(n, h)
-    reds = (np.arange(1 << (num_edges - 1), dtype=np.uint32) << 1) | 1
-    covered = np.zeros(reds.shape, dtype=np.uint32)
-    for mask in copies:
-        sub = reds & np.uint32(mask)
-        mono = (sub == np.uint32(mask)) | (sub == 0)
-        covered[mono] |= np.uint32(mask)
-    return int(num_edges - _popcount32(covered).min())
-
-
 @dataclass(frozen=True)
 class EdgeColoring:
     """Red/blue coloring of the complete graph on n vertices, stored as the
@@ -288,3 +238,15 @@ def f2_count_uncovered(coloring: EdgeColoring, h: Graph) -> int:
             if not contains_subgraph(g, h, anchor=e):
                 count += 1
     return count
+
+
+def f2_exact(n: int, h: Graph) -> int:
+    """Maximum over all 2-edge-colorings of K_n of the number of edges in no
+    monochromatic copy of h.  A coloring is its red graph, and relabelling
+    it keeps the count, so the maximum of `f2_count_uncovered` over one red
+    graph per isomorphism class on n vertices is exact."""
+    if n > 7:
+        raise CapacityError("f2_exact enumerates colorings only for n <= 7")
+    if n < 0:
+        raise ParameterError("f2_exact needs n >= 0")
+    return max(f2_count_uncovered(EdgeColoring(n, frozenset(g.edges())), h) for g in graph_levels(n)[n])

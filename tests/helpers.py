@@ -13,10 +13,37 @@ import random
 import re
 from itertools import combinations, permutations
 
-from oddballoon.canon import canonical_key
-from oddballoon.decomp import GraphFamily
+from oddballoon.balloon import bipartition, build_balloon
+from oddballoon.canon import canonical_form, canonical_key
+from oddballoon.decomp import (
+    GraphFamily,
+    _embedding_host,
+    _independent_subsets,
+    _is_covering,
+    decomposition_family,
+    default_oracle_side,
+    peel_edges,
+    split_vertices,
+)
 from oddballoon.embed import contains_subgraph
-from oddballoon.graphs import CapacityError, Graph, ParameterError, add_edges, empty_graph, from_edges
+from oddballoon.generate import graph_levels, small_edge_classes
+from oddballoon.graphs import (
+    CapacityError,
+    Graph,
+    ParameterError,
+    add_edges,
+    bit_indices,
+    complete_graph,
+    connected_components,
+    empty_graph,
+    from_edges,
+    induced,
+    iter_bits,
+    relabel,
+    strip_isolated,
+)
+from oddballoon.matching import max_matching
+from oddballoon.oracle import EdgeColoring
 
 
 def brute_max_matching(g: Graph) -> int:
@@ -83,8 +110,6 @@ def brute_contains(host: Graph, pattern: Graph, anchor=None) -> bool:
 
 def slow_f2(n: int, h: Graph) -> int:
     """Literal per-edge scan over all 2-colorings; keep n <= 5."""
-    from oddballoon.construct import EdgeColoring
-
     pairs = list(combinations(range(n), 2))
     best = 0
     for mask in range(1 << len(pairs)):
@@ -114,8 +139,6 @@ def abbott_value(k: int) -> int:
 
 
 def petersen() -> Graph:
-    from oddballoon.graphs import from_edges
-
     return from_edges(
         10,
         [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
@@ -125,8 +148,6 @@ def petersen() -> Graph:
 
 
 def graph_from_mask(n: int, mask: int) -> Graph:
-    from oddballoon.graphs import from_edges
-
     pairs = list(combinations(range(n), 2))
     return from_edges(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
 
@@ -135,9 +156,6 @@ def brute_decomposition_family(tree, spec):
     """Splitting then peeling by the definition: every independent split
     set, every subset of the eligible leaf-edges, each peeled graph keyed.
     Traces name the split vertices and the peeled tree edges."""
-    from oddballoon.decomp import GraphFamily, _independent_subsets, peel_edges, split_vertices
-    from oddballoon.graphs import iter_bits
-
     tg = tree.graph()
     fam = GraphFamily()
     for s_mask in _independent_subsets(tg):
@@ -161,11 +179,6 @@ def reference_b_family(tree, spec):
     """The covering family as first written: every vertex subset of size
     1..a-1 of every decomposition member is tried as a covering, after an
     all-members scan for the K_a fallback."""
-    from oddballoon.balloon import bipartition
-    from oddballoon.decomp import _is_covering, decomposition_family
-    from oddballoon.graphs import complete_graph, induced
-    from oddballoon.matching import max_matching
-
     side_a, _ = bipartition(tree, spec)
     a = len(side_a)
     # every member has e(T) >= 1 edges, so for a = 1 none has a covering
@@ -201,9 +214,6 @@ def replay_trace(tree, spec, trace: str) -> Graph:
     split at S, and each named tree edge is peeled as the split-forest edge
     it became, found through the inverse of `split_vertices`' origin map.
     Fails on any name that is not a tree vertex or a tree edge."""
-    from oddballoon.decomp import peel_edges, split_vertices
-    from oddballoon.graphs import strip_isolated
-
     names, peeled = re.fullmatch(r"split \{(.*)\} peel \{(.*)\}", trace).groups()
     index = {name: v for v, name in enumerate(tree.names)}
     split_set = {index[x] for x in names.split(",")} if names != "-" else set()
@@ -222,10 +232,6 @@ def reference_decomposition_oracle(tree, spec, side=None):
     """The definition-based oracle as a plain sweep: every class with at
     most e(T)+1 edges is planted and queried, then the satisfying classes
     are pruned to their minimal members."""
-    from oddballoon.balloon import build_balloon
-    from oddballoon.decomp import _embedding_host, default_oracle_side
-    from oddballoon.generate import small_edge_classes
-
     t_o = build_balloon(tree, spec)
     e_t = len(tree.edges)
     if side is None:
@@ -242,8 +248,6 @@ def reference_forest_form(g: Graph) -> Graph:
     `canon`'s codes: each component is rooted at a center of least
     eccentricity whose rooted (AHU) code is least, walked in preorder with
     children in code order, and components go by (order, code)."""
-    from oddballoon.graphs import bit_indices, connected_components, relabel
-
     def rooted(v: int, parent: int) -> str:
         return "(" + "".join(sorted(rooted(u, v) for u in bit_indices(g.rows[v]) if u != parent)) + ")"
 
@@ -278,9 +282,6 @@ def reference_ex_exact(n: int, family) -> tuple[int, Graph]:
     """ex(n, family) and its witness from every class on n vertices: the
     largest edge count over the last level of graph_levels, and the
     canonical form of the extremal class with the least canonical key."""
-    from oddballoon.canon import canonical_form, canonical_key
-    from oddballoon.generate import graph_levels
-
     last = graph_levels(n, tuple(family))[-1]
     best = max(g.edge_count() for g in last)
     return best, canonical_form(min((g for g in last if g.edge_count() == best), key=canonical_key))

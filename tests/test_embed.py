@@ -70,6 +70,9 @@ def test_anchored_semantics():
     assert contains_subgraph(host, k3, anchor=(0, 1))
     with pytest.raises(ParameterError):
         contains_subgraph(host, k3, anchor=(0, 3))  # not a host edge
+    for anchor in [(-1, 1), (5, 0)]:  # not host vertices
+        with pytest.raises(ParameterError):
+            contains_subgraph(path_graph(3), complete_graph(2), anchor=anchor)
 
 
 def test_anchored_against_brute_force_fuzz():

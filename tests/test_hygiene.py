@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,6 +45,17 @@ def test_imports_at_module_top():
         if isinstance(node, (ast.Import, ast.ImportFrom)) and node not in tree.body
     ]
     assert nested == []
+
+
+def test_cli_imports_no_numpy():
+    # the package needs only the standard library; importing numpy would
+    # roughly double the start-up time of every CLI command
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, oddballoon.cli; print('numpy' in sys.modules)"],
+        cwd=ROOT, env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def _private_definitions(tree: ast.Module):

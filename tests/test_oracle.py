@@ -224,6 +224,8 @@ def test_f2_exact_values():
     assert f2_exact(6, K3) == 10
     assert f2_exact(6, K3) >= ex_exact(6, [K3]).value
     assert f2_exact(4, complete_graph(5)) == 6  # no copies fit at all
+    assert f2_exact(7, K3) == 12  # at the cap
+    assert f2_exact(7, cycle_graph(4)) == 9
     with pytest.raises(CapacityError):
         f2_exact(8, K3)
     with pytest.raises(ParameterError):

@@ -107,12 +107,13 @@ def _forest_key(codes: Iterable[bytes]) -> bytes:
 def _twin_masks(rows: tuple[int, ...]) -> tuple[int, ...]:
     """For each vertex, the mask of its open twins and its closed twins
     (itself included); a vertex never has both kinds."""
-    cls: dict[int, int] = {}  # open neighbourhood, or ~closed neighbourhood
+    opened: dict[int, int] = {}  # open neighbourhood -> its vertices
+    closed: dict[int, int] = {}  # closed neighbourhood -> its vertices
     for v, row in enumerate(rows):
         b = 1 << v
-        cls[row] = cls.get(row, 0) | b
-        cls[~(row | b)] = cls.get(~(row | b), 0) | b
-    return tuple(cls[row] | cls[~(row | 1 << v)] for v, row in enumerate(rows))
+        opened[row] = opened.get(row, 0) | b
+        closed[row | b] = closed.get(row | b, 0) | b
+    return tuple(opened[row] | closed[row | 1 << v] for v, row in enumerate(rows))
 
 
 def _twin_transpositions(twins: tuple[int, ...]) -> list[Perm]:

@@ -1,6 +1,11 @@
 """Subgraph containment (not induced) by backtracking over bit rows.
 
-Pattern vertices are placed in a connectivity-greedy order.  A search
+Pattern vertices are placed in a connectivity-greedy order: next comes
+the vertex with the most placed neighbours, then the one with the
+shortest path back to the placed set through unplaced vertices, then the
+one of highest degree, then the least label.  The second rule closes each
+cycle before the next one is opened, so a cycle that cannot close is
+refuted once, not once per placement of unrelated vertices.  A search
 node's candidates are the unused host vertices adjacent to the images of
 the pattern vertex's earlier neighbours, of large enough degree, and not
 excluded by an earlier refutation (below); all of it is bitmask algebra.
@@ -28,9 +33,10 @@ subtree fails, no embedding at all extends its partial assignment.
 Orbits are exact: the pattern is searched into itself with the prefix
 fixed (an injective edge-preserving self-map of a finite graph is an
 automorphism).  Equitable refinement only prefilters the candidate
-images, since its cells over-approximate orbits.  A depth's orbit is
-computed on its first refutation, so queries that succeed fast pay
-almost nothing for it.  The same orbits give `creates_copy_with_vertex`
+images, since its cells over-approximate orbits; a plan refines each
+depth from the one before, individualising one more vertex.  A depth's
+orbit is computed on its first refutation, so queries that succeed fast
+pay almost nothing for it.  The same orbits give `creates_copy_with_vertex`
 one seed vertex, and anchored `contains_subgraph` one seed edge end, per
 Aut(P) orbit.
 
@@ -74,21 +80,104 @@ def _host_degree_masks(host: Graph) -> tuple[int, ...]:
 
 def _pattern_order(pattern: Graph, core: list[int], seed: Sequence[int]) -> list[int]:
     """Connectivity-greedy order over core vertices, starting from the
-    pre-assigned seed vertices (possibly none).  Each step depends only on
-    the vertices already chosen, so the order continues any of its own
-    prefixes that hold the seed."""
+    pre-assigned seed vertices (possibly none).  Each step takes the vertex
+    with the most chosen neighbours; among those, the one with the shortest
+    path back to the chosen set through unchosen vertices (so a cycle is
+    closed before the next one is opened); then the one of highest degree;
+    then the least label.  Each step depends only on the set already
+    chosen, so the order continues any of its own prefixes that hold the
+    seed."""
     rows = pattern.rows
     chosen = list(seed)
-    chosen_mask = 0
+    chosen_mask = reach = 0
     for q in chosen:
         chosen_mask |= 1 << q
+        reach |= rows[q]
     remaining = [v for v in core if not chosen_mask >> v & 1]
     while remaining:
-        best = max(remaining, key=lambda p: ((rows[p] & chosen_mask).bit_count(), rows[p].bit_count(), -p))
+        top, tied = -1, []
+        for p in remaining:
+            count = (rows[p] & chosen_mask).bit_count()
+            if count > top:
+                top, tied = count, [p]
+            elif count == top:
+                tied.append(p)
+        if top and len(tied) > 1:
+            tied = _shortest_back(rows, chosen_mask, reach & ~chosen_mask, tied)
+        best = max(tied, key=lambda p: (rows[p].bit_count(), -p))
         chosen.append(best)
         chosen_mask |= 1 << best
+        reach |= rows[best]
         remaining.remove(best)
     return chosen
+
+
+def _shortest_back(rows: tuple[int, ...], chosen: int, sources: int, tied: list[int]) -> list[int]:
+    """The vertices of `tied` with the shortest path back to the chosen set
+    (all of `tied` if none has one).  `sources` are the unchosen neighbours
+    of the chosen set, and `tied` is a list of them; a path back from p runs
+    through unchosen vertices other than p and ends with an edge into the
+    chosen set, so it has length 2 or more.
+
+    One BFS over the unchosen vertices, from all the sources at once,
+    labels each vertex by the source that reached it.  A shortest path back
+    from p leaves p's region by an edge xy into the region of another
+    source, and its length is d(x) + 1 + d(y) + 1.  Once the layers up to t
+    are scanned, every such length up to 2t + 2 has been seen, so the BFS
+    stops as soon as a vertex of `tied` has one."""
+    closing = [p for p in tied if rows[p] & sources]  # length 2 through another source
+    if closing:
+        return closing
+    label = [-1] * len(rows)
+    depth = [0] * len(rows)
+    layer = []
+    m = sources
+    while m:
+        b = m & -m
+        m ^= b
+        x = b.bit_length() - 1
+        label[x] = x
+        layer.append(x)
+    wanted = 0
+    for p in tied:
+        wanted |= 1 << p
+    back: dict[int, int] = {}
+    shortest = len(rows) + 2  # among `tied`; longer than any path
+    t = 0
+    while layer and shortest > 2 * t:
+        nxt = []
+        for x in layer:
+            lx = label[x]
+            m = rows[x] & ~chosen
+            while m:
+                b = m & -m
+                m ^= b
+                y = b.bit_length() - 1
+                ly = label[y]
+                if ly < 0:
+                    label[y] = lx
+                    depth[y] = t + 1
+                    nxt.append(y)
+                elif ly != lx:
+                    length = t + depth[y] + 2
+                    for z in (lx, ly):
+                        if length < back.get(z, length + 1):
+                            back[z] = length
+                            if wanted >> z & 1 and length < shortest:
+                                shortest = length
+        layer = nxt
+        t += 1
+    return [p for p in tied if back.get(p) == shortest] or tied
+
+
+@lru_cache(maxsize=1024)
+def _degree_partition(pattern: Graph) -> tuple[int, ...]:
+    """The equitable refinement of the pattern's degree partition."""
+    by_degree: dict[int, int] = {}
+    for v, row in enumerate(pattern.rows):
+        deg = row.bit_count()
+        by_degree[deg] = by_degree.get(deg, 0) | 1 << v
+    return tuple(_refine(pattern.rows, [mask for _, mask in sorted(by_degree.items())]))
 
 
 class _Plan:
@@ -96,9 +185,10 @@ class _Plan:
     earlier neighbours of each position, the host degree each position
     needs (0 where its earlier neighbours already force it), and, filled in
     on first use, the orbit of each position under the pointwise stabiliser
-    of the positions before it (a mask without the vertex itself)."""
+    of the positions before it (a mask without the vertex itself) and the
+    refined partitions with growing prefixes of the order individualised."""
 
-    __slots__ = ("pattern", "order", "start", "prev", "degs", "orbits")
+    __slots__ = ("pattern", "order", "start", "prev", "degs", "orbits", "parts")
 
     def __init__(self, pattern: Graph, seed: tuple[int, ...]):
         core = [v for v in range(pattern.n) if pattern.rows[v]]
@@ -112,12 +202,31 @@ class _Plan:
             d if d > len(before) else 0 for d, before in zip((rows[p].bit_count() for p in order), self.prev)
         )
         self.orbits: list[int | None] = [None] * len(order)
+        self.parts: list[tuple[int, ...]] = []
 
     def orbit(self, d: int) -> int:
         orb = self.orbits[d]
         if orb is None:
             orb = self.orbits[d] = _stabiliser_orbit(self, d)
         return orb
+
+    def cells(self, d: int) -> tuple[int, ...]:
+        """The coarsest equitable partition finer than the degree partition
+        with order[:d] individualised.  Depth d individualises order[d - 1]
+        in depth d - 1 and refines with that singleton as the only splitter:
+        the rest of its old cell needs none, as the counts into it are the
+        counts into the old cell less those into the singleton."""
+        parts = self.parts
+        if not parts:
+            parts.append(_degree_partition(self.pattern))
+        while len(parts) <= d:
+            cells = parts[-1]
+            b = 1 << self.order[len(parts) - 1]
+            i = next(i for i, c in enumerate(cells) if c & b)
+            if cells[i] != b:
+                cells = tuple(_refine(self.pattern.rows, [*cells[:i], b, cells[i] ^ b, *cells[i + 1 :]], [b]))
+            parts.append(cells)
+        return parts[d]
 
 
 @lru_cache(maxsize=4096)
@@ -135,17 +244,10 @@ def _stabiliser_orbit(plan: _Plan, d: int) -> int:
     seed, and the greedy order continues its own prefixes."""
     pattern = plan.pattern
     fixed, p = plan.order[:d], plan.order[d]
-    rows = pattern.rows
-    by_degree: dict[int, int] = {}
     fixed_mask = 0
     for v in fixed:
         fixed_mask |= 1 << v
-    for v, row in enumerate(rows):
-        if not fixed_mask >> v & 1:
-            deg = row.bit_count()
-            by_degree[deg] = by_degree.get(deg, 0) | 1 << v
-    cells = [1 << v for v in fixed] + [mask for _, mask in sorted(by_degree.items())]
-    cell = next(c for c in _refine(rows, cells) if c >> p & 1)
+    cell = next(c for c in plan.cells(d) if c >> p & 1)
     img = [0] * pattern.n
     for v in fixed:
         img[v] = v

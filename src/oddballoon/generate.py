@@ -8,9 +8,12 @@ Two growth routines, each keying its candidates with `canon`:
 - `edge_growth_classes` adds one edge at a time from K_2 and keeps the
   candidates that pass one isomorphism-invariant filter.  Callers:
   `small_edge_classes` (every class up to a size, for tests; its cache
-  stays because the bench self-test pins it), `trees_up_to` (audits,
-  the forests of `decomp.decomposition_oracle`, tests and bench cases),
+  stays because the bench self-test pins it),
   `oracle._connected_bounded_classes` and `oracle.star_matching_max`.
+
+`trees_up_to` grows free trees by pendant vertices alone and dedupes them
+by `tree_code`; audits, the forests of `decomp.decomposition_oracle`,
+tests and bench cases read it.
 """
 from __future__ import annotations
 
@@ -24,6 +27,7 @@ from .canon import (
     canonical_key,
     canonical_key_and_generators,
     canonical_key_any,
+    tree_code,
 )
 from .embed import creates_copy_with_vertex
 from .graphs import (
@@ -207,16 +211,26 @@ def small_edge_classes(max_edges: int, max_nonisolated: int) -> tuple[Graph, ...
 
 @lru_cache(maxsize=8)
 def trees_up_to(max_n: int) -> tuple[tuple[Graph, ...], ...]:
-    """trees[n] = all free trees on n vertices up to isomorphism (n <= 16)."""
+    """trees[n] = all free trees on n vertices up to isomorphism (n <= 16).
+
+    Each level grows the one before by a pendant vertex at every vertex of
+    every tree, in that order, and keeps the first tree of each `tree_code`:
+    every tree on n >= 2 vertices loses a leaf to a tree on n - 1."""
     if max_n > CANON_VERTEX_CAP:
         raise CapacityError(f"trees_up_to supports n <= {CANON_VERTEX_CAP}")
-    levels: list[list[Graph]] = [[] for _ in range(max(max_n, 1) + 1)]
-    levels[1].append(empty_graph(1))
-    if max_n >= 2:
-        # from a tree only the pendant move keeps e = n - 1, so these are
-        # exactly the trees
-        for t in edge_growth_classes(lambda g: g.edge_count() == g.n - 1, max_n - 1):
-            levels[t.n].append(t)
+    levels: list[list[Graph]] = [[], [empty_graph(1)]]
+    for n in range(2, max_n + 1):
+        full = (1 << n) - 1
+        seen: set[bytes] = set()
+        level = []
+        for t in levels[-1]:
+            for u in range(t.n):
+                cand = add_vertex(t, 1 << u)
+                code = tree_code(cand.rows, full)
+                if code not in seen:
+                    seen.add(code)
+                    level.append(cand)
+        levels.append(level)
     return tuple(tuple(level) for level in levels[: max_n + 1])
 
 

@@ -26,7 +26,7 @@ from oddballoon.decomp import (
     split_vertices,
 )
 from oddballoon.embed import contains_subgraph
-from oddballoon.generate import graph_levels, small_edge_classes
+from oddballoon.generate import edge_growth_classes, graph_levels, small_edge_classes
 from oddballoon.graphs import (
     CapacityError,
     Graph,
@@ -357,6 +357,19 @@ def random_tree(rng: random.Random, n: int) -> Graph:
     w = heapq.heappop(leaves)
     edges.append((u, w))
     return from_edges(n, edges)
+
+
+def reference_trees_up_to(max_n: int) -> tuple[tuple[Graph, ...], ...]:
+    """The free trees on 0..max_n vertices by edge growth from K_2, keeping
+    the candidates with e = n - 1: from a tree only the pendant move keeps
+    that, so these are exactly the trees, in the order `trees_up_to` must
+    keep."""
+    levels: list[list[Graph]] = [[] for _ in range(max(max_n, 1) + 1)]
+    levels[1].append(empty_graph(1))
+    if max_n >= 2:
+        for t in edge_growth_classes(lambda g: g.edge_count() == g.n - 1, max_n - 1):
+            levels[t.n].append(t)
+    return tuple(tuple(level) for level in levels[: max_n + 1])
 
 
 def acyclic(g: Graph) -> bool:

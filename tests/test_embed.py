@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from itertools import permutations
@@ -8,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_contains
+from helpers import brute_contains, random_tree
 from oddballoon import embed
 from oddballoon.balloon import build_balloon, load_spec, parse_spec
+from oddballoon.canon import _refine
+from oddballoon.construct import extremal_candidate
 from oddballoon.decomp import _embedding_host, default_oracle_side
 from oddballoon.embed import _embeds_at, contains_subgraph, creates_copy_with_vertex
 from oddballoon.generate import random_graph, small_edge_classes
@@ -24,6 +27,7 @@ from oddballoon.graphs import (
     disjoint_union,
     empty_graph,
     from_edges,
+    iter_bits,
     join,
     path_graph,
     relabel,
@@ -170,6 +174,31 @@ def _automorphisms(g: Graph) -> list[tuple[int, ...]]:
     ]
 
 
+def _random_balloon(rng: random.Random) -> Graph:
+    tree = random_tree(rng, rng.randint(2, 7))
+    edges = [f"{u}-{v}" for u, v in tree.edges()]
+    text = "tree: " + " ".join(edges) + "\ncycles: " + " ".join(f"{e}:{rng.choice((3, 5, 7))}" for e in edges)
+    return _shuffled(_balloon(text), rng)
+
+
+def _brute_path_back(rows: tuple[int, ...], chosen: int, p: int) -> float:
+    """Length of a shortest path p, v1, ..., vk, c with k >= 1, every v_i
+    unchosen and other than p, and c chosen; infinite if there is none."""
+    free = ~chosen & ~(1 << p)
+    frontier = seen = rows[p] & free
+    length = 2
+    while frontier:
+        if any(rows[v] & chosen for v in iter_bits(frontier)):
+            return length
+        reach = 0
+        for v in iter_bits(frontier):
+            reach |= rows[v]
+        frontier = reach & free & ~seen
+        seen |= frontier
+        length += 1
+    return math.inf
+
+
 def test_twin_rich_hosts_against_networkx():
     nx = pytest.importorskip("networkx")
     from networkx.algorithms.isomorphism import GraphMatcher
@@ -278,16 +307,76 @@ def test_orbit_plans_pinned():
     st.randoms(use_true_random=False),
 )
 def test_greedy_order_continues_its_own_prefixes(pattern_spec, rng):
-    # why a plan's stabiliser orbits are searched in the plan's own order
+    # why a plan's stabiliser orbits are searched in the plan's own order;
+    # balloons give the cycle-closing rule many ties to break
     n, bits = pattern_spec
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    pattern = from_edges(n, [p for p, bit in zip(pairs, bits) if bit])
-    core = [v for v in range(n) if pattern.rows[v]]
-    seed = rng.sample(core, rng.randint(0, min(2, len(core))))
-    order = embed._pattern_order(pattern, core, seed)
-    assert order[: len(seed)] == seed and sorted(order) == core
-    for d in range(max(len(seed) - 1, 0), len(order)):
-        assert embed._pattern_order(pattern, core, order[: d + 1]) == order, (pattern.rows, seed, d)
+    for pattern in (from_edges(n, [p for p, bit in zip(pairs, bits) if bit]), _random_balloon(rng)):
+        core = [v for v in range(pattern.n) if pattern.rows[v]]
+        seed = rng.sample(core, rng.randint(0, min(2, len(core))))
+        order = embed._pattern_order(pattern, core, seed)
+        assert order[: len(seed)] == seed and sorted(order) == core
+        for d in range(max(len(seed) - 1, 0), len(order)):
+            assert embed._pattern_order(pattern, core, order[: d + 1]) == order, (pattern.rows, seed, d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_order_closes_the_shortest_cycle_first(rng):
+    # each step against the rule computed one candidate at a time
+    for pattern in (_random_balloon(rng), random_graph(rng, rng.randint(1, 10), rng.uniform(0.1, 0.6))):
+        rows = pattern.rows
+        core = [v for v in range(pattern.n) if rows[v]]
+        seed = rng.sample(core, rng.randint(0, min(2, len(core))))
+        order = embed._pattern_order(pattern, core, seed)
+        assert order[: len(seed)] == seed and sorted(order) == core
+        for i in range(len(seed), len(order)):
+            chosen = sum(1 << q for q in order[:i])
+            count = {p: (rows[p] & chosen).bit_count() for p in order[i:]}
+            top = max(count.values())
+
+            def key(p):
+                back = _brute_path_back(rows, chosen, p) if top else math.inf
+                return (count[p], -back, rows[p].bit_count(), -p)
+
+            assert order[i] == max(order[i:], key=key), (rows, seed, i)
+
+
+def test_star_order_closes_each_cycle_before_the_next():
+    # the centre is 0, the leaves 1-4, and each cycle's private vertices
+    # come after the leaves; each leaf is followed by its own three
+    star = _star_of_c5s(4)
+    order = embed._plan(star, ()).order
+    assert order == (0, 1, 5, 6, 7, 2, 8, 9, 10, 3, 11, 12, 13, 4, 14, 15, 16)
+    for i in range(1, len(order), 4):
+        leaf, *private = order[i : i + 4]
+        assert 1 <= leaf <= 4 and min(private) >= 5
+        cycle = 1 | sum(1 << v for v in order[i : i + 4])
+        assert all((star.rows[v] & cycle).bit_count() == 2 for v in iter_bits(cycle))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=9).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_plan_partitions_match_refinement_from_scratch(pattern_spec, rng):
+    # a finer cell would drop orbit members and make refutation unsound
+    n, bits = pattern_spec
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    for pattern in (from_edges(n, [p for p, bit in zip(pairs, bits) if bit]), _random_balloon(rng)):
+        core = [v for v in range(pattern.n) if pattern.rows[v]]
+        plan = embed._Plan(pattern, tuple(rng.sample(core, rng.randint(0, min(2, len(core))))))
+        for d in range(len(plan.order) + 1):
+            fixed = plan.order[:d]
+            by_degree: dict[int, int] = {}
+            for v, row in enumerate(pattern.rows):
+                if v not in fixed:
+                    by_degree[row.bit_count()] = by_degree.get(row.bit_count(), 0) | 1 << v
+            cells = [1 << v for v in fixed] + [mask for _, mask in sorted(by_degree.items())]
+            assert set(plan.cells(d)) == set(_refine(pattern.rows, cells)), (pattern.rows, plan.order, d)
 
 
 @settings(max_examples=80, deadline=None)
@@ -355,3 +444,15 @@ def test_star_of_c5s_negative_oracle_budget():
             count += 1
     assert count == 25
     assert negative < 1.0, f"25 negative star-of-four-C5s oracle queries took {negative:.3f}s"
+
+
+def test_all_five_star_certificate_within_budget():
+    # with every leaf placed before any cycle this took 23-29 s on a 2-core VM
+    edges = [f"c-x{i}" for i in range(8)]
+    tree, spec = parse_spec("tree: " + " ".join(edges) + "\ncycles: " + " ".join(f"{e}:5" for e in edges))
+    t_o = build_balloon(tree, spec)
+    host = extremal_candidate(t_o.n, tree, spec).graph
+    assert host.n == 33
+    t0 = time.perf_counter()
+    assert not contains_subgraph(host, t_o)
+    assert time.perf_counter() - t0 < 3.0

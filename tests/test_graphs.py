@@ -132,6 +132,22 @@ def test_trees_up_to_counts_and_cap():
     assert time.perf_counter() - start < 1.0  # refused before any growth
 
 
+def test_trees_up_to_matches_edge_growth_reference():
+    from helpers import reference_trees_up_to
+
+    from oddballoon.generate import trees_up_to
+
+    # pendant growth deduped by tree code returns the edge-growth classes
+    # in the same order, representatives included
+    got = trees_up_to(11)
+    assert [len(level) for level in got] == [0, 1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235]
+    assert [[t.rows for t in level] for level in got] == [
+        [t.rows for t in level] for level in reference_trees_up_to(11)
+    ]
+    for max_n in range(3):
+        assert trees_up_to(max_n) == reference_trees_up_to(max_n)
+
+
 def test_trees_up_to_order():
     from oddballoon.codec import encode_graph6
     from oddballoon.generate import trees_up_to

@@ -170,16 +170,6 @@ def _shortest_back(rows: tuple[int, ...], chosen: int, sources: int, tied: list[
     return [p for p in tied if back.get(p) == shortest] or tied
 
 
-@lru_cache(maxsize=1024)
-def _degree_partition(pattern: Graph) -> tuple[int, ...]:
-    """The equitable refinement of the pattern's degree partition."""
-    by_degree: dict[int, int] = {}
-    for v, row in enumerate(pattern.rows):
-        deg = row.bit_count()
-        by_degree[deg] = by_degree.get(deg, 0) | 1 << v
-    return tuple(_refine(pattern.rows, [mask for _, mask in sorted(by_degree.items())]))
-
-
 class _Plan:
     """How to search one pattern from one seed: the order (seed first), the
     earlier neighbours of each position, the host degree each position
@@ -211,14 +201,15 @@ class _Plan:
         return orb
 
     def cells(self, d: int) -> tuple[int, ...]:
-        """The coarsest equitable partition finer than the degree partition
-        with order[:d] individualised.  Depth d individualises order[d - 1]
-        in depth d - 1 and refines with that singleton as the only splitter:
-        the rest of its old cell needs none, as the counts into it are the
-        counts into the old cell less those into the singleton."""
+        """The coarsest equitable partition with order[:d] individualised.
+        Depth 0 refines the unit partition, which splits by degree first.
+        Depth d individualises order[d - 1] in depth d - 1 and refines with
+        that singleton as the only splitter: the rest of its old cell needs
+        none, as the counts into it are the counts into the old cell less
+        those into the singleton."""
         parts = self.parts
         if not parts:
-            parts.append(_degree_partition(self.pattern))
+            parts.append(tuple(_refine(self.pattern.rows, [(1 << self.pattern.n) - 1])))
         while len(parts) <= d:
             cells = parts[-1]
             b = 1 << self.order[len(parts) - 1]

@@ -14,7 +14,7 @@ from oddballoon import embed
 from oddballoon.balloon import build_balloon, load_spec, parse_spec
 from oddballoon.canon import _refine
 from oddballoon.construct import extremal_candidate
-from oddballoon.decomp import _embedding_host, default_oracle_side
+from oddballoon.decomp import _embedding_host, _forests, default_oracle_side
 from oddballoon.embed import _embeds_at, contains_subgraph, creates_copy_with_vertex
 from oddballoon.generate import random_graph, small_edge_classes
 from oddballoon.graphs import (
@@ -444,6 +444,22 @@ def test_star_of_c5s_negative_oracle_budget():
             count += 1
     assert count == 25
     assert negative < 1.0, f"25 negative star-of-four-C5s oracle queries took {negative:.3f}s"
+
+
+def test_path_of_c7s_positive_oracle_budget():
+    # every member host of the all-7 path spec contains T_o; the cycle-closing
+    # order gives the first cycle's private vertices first pick of the low
+    # host labels, which are the planted vertices, and 5K2 pays most for it
+    # (0.4 ms with the spine placed first, about 0.1 s now, on a 2-core VM)
+    tree, spec = parse_spec("tree: 0-1 1-2 2-3 3-4 4-5\ncycles: 0-1:7 1-2:7 2-3:7 3-4:7 4-5:7")
+    t_o = build_balloon(tree, spec)
+    side = default_oracle_side(tree, spec)
+    hosts = [_embedding_host(side, cand) for cand in _forests(5, 2).values()]
+    assert len(hosts) == 7
+    t0 = time.perf_counter()
+    assert all(contains_subgraph(host, t_o) for host in hosts)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 2.0, f"7 positive path-of-C7s oracle queries took {elapsed:.3f}s"
 
 
 def test_all_five_star_certificate_within_budget():

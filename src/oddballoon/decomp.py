@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .balloon import BalloonSpec, BipartiteTree, _norm, balloon_order, bipartition, build_balloon
+from .balloon import BalloonSpec, BipartiteTree, _norm, bipartition, build_balloon
 from .canon import _decode, _forest_key, canonical_key, tree_code
 from .embed import contains_subgraph
 from .generate import trees_up_to
@@ -17,12 +17,9 @@ from .graphs import (
     _fast_graph,
     complete_graph,
     connected_components,
-    disjoint_union,
-    empty_graph,
     from_edges,
     induced,
     iter_bits,
-    join,
     strip_isolated,
     union_all,
 )
@@ -280,27 +277,42 @@ def _outcome_table(
 
 
 def _embedding_host(side: int, m: Graph) -> Graph:
-    """Balanced complete bipartite host with m planted in one side."""
-    return join(disjoint_union(m, empty_graph(side - m.n)), empty_graph(side))
+    """Balanced complete bipartite host with m planted in one side: X is
+    vertices 0..side-1, m on the first m.n of them, and Y the rest."""
+    if m.n > side:
+        raise ParameterError(f"a planted graph on {m.n} vertices does not fit a side of {side}")
+    if 2 * side > VERTEX_CAP:
+        raise CapacityError(f"host on {2 * side} vertices exceeds the cap {VERTEX_CAP}")
+    x_mask = (1 << side) - 1
+    y_mask = x_mask << side
+    return _fast_graph(2 * side, tuple([r | y_mask for r in m.rows] + [y_mask] * (side - m.n) + [x_mask] * side))
 
 
 def default_oracle_side(tree: BipartiteTree, spec: BalloonSpec) -> int:
-    """Host side s0 = |T_o| + 2e(T) + 2, past which a larger side changes
-    no answer of the oracle.  Raises CapacityError when the host's 2 s0
-    vertices exceed the vertex cap.
+    """Host side s0 = 2e(T) + max(1, A), where A is the sum over tree edges
+    e of (L_e - 1)/2, past which a larger side changes no answer of the
+    oracle.  Raises CapacityError when the host's 2 s0 vertices exceed the
+    vertex cap.
 
     Let the host have sides X and Y of size s >= s0, with M planted in X.
-    An embedding of T_o uses at most |T_o| host vertices.  The X vertices
-    outside V(M) are pairwise twins (each is adjacent to exactly Y), and so
-    are the Y vertices.  The oracle plants M with e(T) edges and no
-    isolated vertex, and any M with no isolated vertex and at most e(T) + 1
-    edges has |V(M)| <= 2e(T) + 2, so the s0 host still has |T_o| spare X
-    vertices and |T_o| Y vertices.  Remapping the used vertices of each
-    twin class injectively into the s0 host's class keeps every edge, so
-    the s0 host contains T_o whenever the larger host does; the converse
-    holds as the s0 host is a subgraph.  Containment is therefore the same
-    for every s >= s0."""
-    side = balloon_order(tree, spec) + 2 * len(tree.edges) + 2
+
+    - The X vertices outside V(M) are adjacent only to Y, and Y only to X,
+      so the vertices of T_o that an embedding sends to either set are
+      independent in T_o.
+    - Every vertex of T_o lies on some cycle C_e, and an independent set
+      meets C_e in at most (L_e - 1)/2 vertices, so alpha(T_o) <= A.  The
+      edgeless tree, whose T_o is K_1, has A = 0 and alpha = 1: hence the
+      max(1, A).
+    - The oracle plants M with e(T) edges and no isolated vertex, so
+      |V(M)| <= 2e(T) and the s0 host still has max(1, A) spare X vertices
+      and as many Y vertices.
+
+    The spare X vertices are pairwise twins, and so are the Y vertices, so
+    remapping the used vertices of each class injectively into the s0
+    host's class keeps every edge: the s0 host contains T_o whenever the
+    larger host does, and the converse holds as the s0 host is a subgraph.
+    Containment is therefore the same for every s >= s0."""
+    side = 2 * len(tree.edges) + max(1, sum((ln - 1) // 2 for _, ln in spec.lengths))
     if 2 * side > VERTEX_CAP:
         raise CapacityError(f"oracle host on {2 * side} vertices exceeds the cap {VERTEX_CAP}")
     return side
@@ -310,7 +322,8 @@ def decomposition_oracle(tree: BipartiteTree, spec: BalloonSpec) -> GraphFamily:
     """Definition-based oracle: the minimal graphs M with at most e(T)+1
     edges such that the balanced complete bipartite host with M planted in
     one side contains the ballooning.  The host side is
-    `default_oracle_side`, past which no larger host changes an answer.
+    `default_oracle_side`, 2e(T) plus the independence bound
+    sum (L_e - 1)/2 of T_o, past which no larger host changes an answer.
 
     Only forests with exactly e(T) edges and maximum degree at most
     Delta(T) are planted.  First, by parity:
@@ -341,14 +354,24 @@ def decomposition_oracle(tree: BipartiteTree, spec: BalloonSpec) -> GraphFamily:
 
     The members are therefore exactly these forests, with no isolated
     vertex, whose host contains T_o.  Two of them contain each other only
-    if they are isomorphic, so no containment check is needed.  Trees with
-    more than 8 edges are refused up front: the cap mirrors
-    `decomposition_family`, whose output this oracle checks, and it stands
-    in for a time budget: below it, 27- to 31-vertex balloons of 6-vertex
-    trees already take seconds, most of it in negative host queries."""
+    if they are isomorphic, so no containment check is needed.
+
+    Two caps stand in for a time budget, and both refuse up front.  Trees
+    with more than 8 edges are refused: the cap mirrors
+    `decomposition_family`, whose output this oracle checks, and below it
+    27- to 31-vertex balloons of 6-vertex trees already take seconds, most
+    of it in negative host queries.  Specs with
+    2(|T_o| + 2e(T) + 2) > VERTEX_CAP are refused too, although their
+    `default_oracle_side` host may fit: past it lie long-cycle specs such
+    as the all-7 balloons of 9-vertex trees, whose search has no bound."""
     if len(tree.edges) > 8:
         raise CapacityError("decomposition_oracle caps at 8 edges (9 vertices)")
     t_o = build_balloon(tree, spec)
+    if 2 * (t_o.n + 2 * len(tree.edges) + 2) > VERTEX_CAP:
+        raise CapacityError(
+            f"decomposition_oracle caps at 2(|T_o| + 2e(T) + 2) <= {VERTEX_CAP}; "
+            f"here |T_o| = {t_o.n} and e(T) = {len(tree.edges)}"
+        )
     side = default_oracle_side(tree, spec)
     fam = GraphFamily()
     for key, cand in _forests(len(tree.edges), tree.graph().max_degree()).items():

@@ -21,7 +21,6 @@ from oddballoon.decomp import (
     _independent_subsets,
     _is_covering,
     decomposition_family,
-    default_oracle_side,
     peel_edges,
     split_vertices,
 )
@@ -231,11 +230,14 @@ def replay_trace(tree, spec, trace: str) -> Graph:
 def reference_decomposition_oracle(tree, spec, side=None):
     """The definition-based oracle as a plain sweep: every class with at
     most e(T)+1 edges is planted and queried, then the satisfying classes
-    are pruned to their minimal members."""
+    are pruned to their minimal members.  The default side is
+    |T_o| + 2e(T) + 2, the bound that needs no independence argument: a
+    class with at most e(T)+1 edges and no isolated vertex has at most
+    2e(T) + 2 vertices, so |T_o| spare vertices stay on each side."""
     t_o = build_balloon(tree, spec)
     e_t = len(tree.edges)
     if side is None:
-        side = default_oracle_side(tree, spec)
+        side = t_o.n + 2 * e_t + 2
     fam = GraphFamily()
     for cand in small_edge_classes(e_t + 1, 2 * e_t + 2):
         if contains_subgraph(_embedding_host(side, cand), t_o):

@@ -39,6 +39,7 @@ from oddballoon.graphs import (
     disjoint_union,
     empty_graph,
     from_edges,
+    join,
     path_graph,
     star_graph,
     strip_isolated,
@@ -203,15 +204,76 @@ def test_oracle_stable_past_default_side():
 
 
 def test_default_oracle_side_cap():
-    # s0 = |T_o| + 2e(T) + 2 is odd, so the hosts nearest the 128-vertex cap
-    # have 126 and 130 vertices
+    # s0 = 2e(T) + (L - 1)/2 for one edge: 2 + 29 = 31 at L = 59; the host
+    # reaches exactly the 128-vertex cap at L = 125 and passes it at L = 127
     tree, spec = parse_spec("tree: a-b\ncycles: a-b:59")
-    assert default_oracle_side(tree, spec) == 63
-    tree, spec = parse_spec("tree: a-b\ncycles: a-b:61")
+    assert default_oracle_side(tree, spec) == 31
+    tree, spec = parse_spec("tree: a-b\ncycles: a-b:125")
+    assert default_oracle_side(tree, spec) == 64
+    tree, spec = parse_spec("tree: a-b\ncycles: a-b:127")
     with pytest.raises(CapacityError):
         default_oracle_side(tree, spec)
+    # the oracle keeps its own cap, 2(|T_o| + 2e(T) + 2) <= 128: 126 host
+    # vertices at L = 59, 130 at L = 61
+    tree, spec = parse_spec("tree: a-b\ncycles: a-b:61")
     with pytest.raises(CapacityError):
         decomposition_oracle(tree, spec)
+
+
+def _alpha(g) -> int:
+    """Independence number by exhaustive branching: the lowest vertex left
+    is either out of the set or in it, and then its neighbours are out."""
+    memo = {0: 0}
+
+    def best(left: int) -> int:
+        if left not in memo:
+            v = (left & -left).bit_length() - 1
+            memo[left] = max(best(left & ~(1 << v)), 1 + best(left & ~(1 << v) & ~g.rows[v]))
+        return memo[left]
+
+    return best(g.vertices_mask())
+
+
+def test_independence_bound_behind_default_side():
+    # alpha(T_o) <= max(1, sum (L_e - 1)/2) = s0 - 2e(T), the count of spare
+    # vertices the s0 host keeps on each side, on every tree with <= 5
+    # vertices (the edgeless one included) and every {3,5,7} assignment
+    count = 0
+    for level in trees_up_to(5)[1:]:
+        for tg in level:
+            tree = _tree_from_graph(tg)
+            for combo in product((3, 5, 7), repeat=len(tree.edges)):
+                spec = BalloonSpec(tuple(zip(tree.edges, combo)))
+                spare = default_oracle_side(tree, spec) - 2 * len(tree.edges)
+                assert _alpha(build_balloon(tree, spec)) <= spare, (tree.edges, combo)
+                count += 1
+    assert count == 1 + 3 + 9 + 2 * 27 + 3 * 81
+
+
+def test_embedding_host_matches_join():
+    # the host built row by row against the join of the planted side and
+    # the other side, on seeded forests and sides
+    rng = random.Random(5)
+    for _ in range(60):
+        e = rng.randint(0, 6)
+        m = rng.choice(list(decomp._forests(e, rng.randint(1, max(e, 1))).values()))
+        side = rng.randint(max(m.n, 1), 64)
+        joined = join(disjoint_union(m, empty_graph(side - m.n)), empty_graph(side))
+        assert decomp._embedding_host(side, m) == joined, (m.rows, side)
+    with pytest.raises(ParameterError):
+        decomp._embedding_host(3, union_all([K2] * 2))
+    with pytest.raises(CapacityError):
+        decomp._embedding_host(65, K2)
+
+
+def test_edgeless_tree_family_and_oracle():
+    # T = K_1 balloons to T_o = K_1: splitting nothing leaves the empty
+    # forest, and the oracle's one-vertex-a-side host contains K_1
+    tree, spec = BipartiteTree(("a",), ()), BalloonSpec(())
+    assert default_oracle_side(tree, spec) == 1
+    fam, orc = decomposition_family(tree, spec), decomposition_oracle(tree, spec)
+    assert fam.keys() == orc.keys() and len(orc) == 1
+    assert [m.n for m in orc] == [0]
 
 
 def test_b_family_examples():

@@ -32,13 +32,12 @@ subtree fails, no embedding at all extends its partial assignment.
 
 Orbits are exact: the pattern is searched into itself with the prefix
 fixed (an injective edge-preserving self-map of a finite graph is an
-automorphism).  Equitable refinement only prefilters the candidate
-images, since its cells over-approximate orbits; a plan refines each
-depth from the one before, individualising one more vertex.  A depth's
-orbit is computed on its first refutation, so queries that succeed fast
-pay almost nothing for it.  The same orbits give `creates_copy_with_vertex`
-one seed vertex, and anchored `contains_subgraph` one seed edge end, per
-Aut(P) orbit.
+automorphism).  Only the unfixed vertices with p's degree and p's fixed
+neighbours are tried as images of p, since every automorphism fixing the
+prefix keeps both.  A depth's orbit is computed on its first refutation,
+so queries that succeed fast pay almost nothing for it.  The same orbits
+give `creates_copy_with_vertex` one seed vertex, and anchored
+`contains_subgraph` one seed edge end, per Aut(P) orbit.
 
 Label-order symmetry breaking (Grochow & Kellis: require f(p) < f(q) for
 p, q in one orbit) is not used.  It prunes maps that are not the least of
@@ -51,7 +50,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Sequence
 
-from .canon import _refine, _twin_masks
+from .canon import _twin_masks
 from .graphs import Graph, ParameterError, iter_bits
 
 
@@ -175,10 +174,9 @@ class _Plan:
     earlier neighbours of each position, the host degree each position
     needs (0 where its earlier neighbours already force it), and, filled in
     on first use, the orbit of each position under the pointwise stabiliser
-    of the positions before it (a mask without the vertex itself) and the
-    refined partitions with growing prefixes of the order individualised."""
+    of the positions before it (a mask without the vertex itself)."""
 
-    __slots__ = ("pattern", "order", "start", "prev", "degs", "orbits", "parts")
+    __slots__ = ("pattern", "order", "start", "prev", "degs", "orbits")
 
     def __init__(self, pattern: Graph, seed: tuple[int, ...]):
         core = [v for v in range(pattern.n) if pattern.rows[v]]
@@ -192,32 +190,12 @@ class _Plan:
             d if d > len(before) else 0 for d, before in zip((rows[p].bit_count() for p in order), self.prev)
         )
         self.orbits: list[int | None] = [None] * len(order)
-        self.parts: list[tuple[int, ...]] = []
 
     def orbit(self, d: int) -> int:
         orb = self.orbits[d]
         if orb is None:
             orb = self.orbits[d] = _stabiliser_orbit(self, d)
         return orb
-
-    def cells(self, d: int) -> tuple[int, ...]:
-        """The coarsest equitable partition with order[:d] individualised.
-        Depth 0 refines the unit partition, which splits by degree first.
-        Depth d individualises order[d - 1] in depth d - 1 and refines with
-        that singleton as the only splitter: the rest of its old cell needs
-        none, as the counts into it are the counts into the old cell less
-        those into the singleton."""
-        parts = self.parts
-        if not parts:
-            parts.append(tuple(_refine(self.pattern.rows, [(1 << self.pattern.n) - 1])))
-        while len(parts) <= d:
-            cells = parts[-1]
-            b = 1 << self.order[len(parts) - 1]
-            i = next(i for i, c in enumerate(cells) if c & b)
-            if cells[i] != b:
-                cells = tuple(_refine(self.pattern.rows, [*cells[:i], b, cells[i] ^ b, *cells[i + 1 :]], [b]))
-            parts.append(cells)
-        return parts[d]
 
 
 @lru_cache(maxsize=4096)
@@ -229,21 +207,26 @@ def _stabiliser_orbit(plan: _Plan, d: int) -> int:
     """Mask of the vertices q != p = plan.order[d] that some automorphism
     fixing plan.order[:d] pointwise sends p to.
 
-    The search is exact in any order; it runs on from position d + 1 of
-    the plan itself.  For d >= plan.start, where `_search` asks, that is the
-    order a plan seeded with order[:d + 1] would take: the prefix holds the
-    seed, and the greedy order continues its own prefixes."""
+    Such an automorphism keeps degrees and fixes N(p) & order[:d], so only
+    the unfixed vertices q with p's degree and p's fixed neighbours are
+    tried, each by an exact search.  The search runs on from position d + 1
+    of the plan itself.  For d >= plan.start, where `_search` asks, that is
+    the order a plan seeded with order[:d + 1] would take: the prefix holds
+    the seed, and the greedy order continues its own prefixes."""
     pattern = plan.pattern
+    rows = pattern.rows
     fixed, p = plan.order[:d], plan.order[d]
     fixed_mask = 0
     for v in fixed:
         fixed_mask |= 1 << v
-    cell = next(c for c in plan.cells(d) if c >> p & 1)
+    deg, nbrs = rows[p].bit_count(), rows[p] & fixed_mask
     img = [0] * pattern.n
     for v in fixed:
         img[v] = v
     orb = 0
-    for q in iter_bits(cell & ~(1 << p)):
+    for q in iter_bits(((1 << pattern.n) - 1) & ~fixed_mask & ~(1 << p)):
+        if rows[q].bit_count() != deg or rows[q] & fixed_mask != nbrs:
+            continue
         img[p] = q
         # a plain search: refuting here would need the orbits of longer
         # prefixes in turn
@@ -275,8 +258,7 @@ def _search(
     edge inside order[:start] to a host edge; they are not re-checked.
     Anchored `contains_subgraph` seeds an edge onto a checked host edge,
     `_embeds_at` seeds one vertex, and `_stabiliser_orbit` maps order[:d]
-    to itself and p to a q in p's cell of a refinement that splits by every
-    fixed singleton, so q has exactly p's fixed neighbours."""
+    to itself and p to a q with exactly p's fixed neighbours."""
     order = plan.order
     prev = plan.prev
     host_rows = host.rows

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from helpers import brute_contains, random_tree
 from oddballoon import embed
 from oddballoon.balloon import build_balloon, load_spec, parse_spec
-from oddballoon.canon import _refine
 from oddballoon.construct import extremal_candidate
 from oddballoon.decomp import _embedding_host, _forests, default_oracle_side
 from oddballoon.embed import _embeds_at, contains_subgraph, creates_copy_with_vertex
@@ -199,15 +198,18 @@ def _brute_path_back(rows: tuple[int, ...], chosen: int, p: int) -> float:
     return math.inf
 
 
-def test_twin_rich_hosts_against_networkx():
-    nx = pytest.importorskip("networkx")
-    from networkx.algorithms.isomorphism import GraphMatcher
+def _to_nx(g: Graph):
+    import networkx as nx
 
-    def to_nx(g: Graph):
-        out = nx.Graph()
-        out.add_nodes_from(range(g.n))
-        out.add_edges_from(g.edges())
-        return out
+    out = nx.Graph()
+    out.add_nodes_from(range(g.n))
+    out.add_edges_from(g.edges())
+    return out
+
+
+def test_twin_rich_hosts_against_networkx():
+    pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
 
     # VF2 is slow on negative monomorphism queries of 9-vertex patterns in
     # dense hosts, so the hosts stay small and size-refuted queries are skipped
@@ -223,7 +225,7 @@ def test_twin_rich_hosts_against_networkx():
             continue
         checked += 1
         got = contains_subgraph(host, pat)
-        assert got == GraphMatcher(to_nx(host), to_nx(pat)).subgraph_is_monomorphic(), (host.rows, pat.rows)
+        assert got == GraphMatcher(_to_nx(host), _to_nx(pat)).subgraph_is_monomorphic(), (host.rows, pat.rows)
         answers.add(got)
     assert answers == {True, False}
 
@@ -277,6 +279,26 @@ def test_stabiliser_orbits_match_brute_force():
                 assert plan.orbit(d) == sum(1 << q for q in expected), (g.rows, seed, d)
         expected_reps = [p for p in core if min(a[p] for a in auts) == p]
         assert list(embed._seed_reps(g)) == expected_reps, g.rows
+
+
+def test_stabiliser_orbits_match_networkx_automorphisms():
+    # balloons of up to 27 vertices, past the brute-force test's 6: there
+    # vertices outside an orbit pass the degree and fixed-neighbour
+    # shortlist, and the search must refute them
+    pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    rng = random.Random(28)
+    for g in [_random_balloon(rng) for _ in range(40)] + [_star_of_c5s(4)]:
+        auts = list(GraphMatcher(_to_nx(g), _to_nx(g)).isomorphisms_iter())
+        core = [v for v in range(g.n) if g.rows[v]]
+        for seed in ((), (rng.choice(core),)):
+            plan = embed._plan(g, seed)
+            for d in range(plan.start, len(plan.order)):
+                p, fixed = plan.order[d], plan.order[:d]
+                expected = {a[p] for a in auts if all(a[x] == x for x in fixed)} - {p}
+                assert plan.orbit(d) == sum(1 << q for q in expected), (g.rows, seed, d)
+        assert list(embed._seed_reps(g)) == [p for p in core if min(a[p] for a in auts) == p], g.rows
 
 
 def test_orbit_plans_pinned():
@@ -362,33 +384,9 @@ def test_star_order_closes_each_cycle_before_the_next():
     ),
     st.randoms(use_true_random=False),
 )
-def test_plan_partitions_match_refinement_from_scratch(pattern_spec, rng):
-    # a finer cell would drop orbit members and make refutation unsound
-    n, bits = pattern_spec
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    for pattern in (from_edges(n, [p for p, bit in zip(pairs, bits) if bit]), _random_balloon(rng)):
-        core = [v for v in range(pattern.n) if pattern.rows[v]]
-        plan = embed._Plan(pattern, tuple(rng.sample(core, rng.randint(0, min(2, len(core))))))
-        for d in range(len(plan.order) + 1):
-            fixed = plan.order[:d]
-            by_degree: dict[int, int] = {}
-            for v, row in enumerate(pattern.rows):
-                if v not in fixed:
-                    by_degree[row.bit_count()] = by_degree.get(row.bit_count(), 0) | 1 << v
-            cells = [1 << v for v in fixed] + [mask for _, mask in sorted(by_degree.items())]
-            assert set(plan.cells(d)) == set(_refine(pattern.rows, cells)), (pattern.rows, plan.order, d)
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    st.integers(min_value=1, max_value=9).flatmap(
-        lambda n: st.tuples(st.just(n), st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
-    ),
-    st.randoms(use_true_random=False),
-)
 def test_stabiliser_orbit_seeds_are_edge_preserving(pattern_spec, rng):
-    # _search does not re-check its seed: with order[:d] fixed, a vertex q
-    # in p's refined cell must be adjacent to every fixed neighbour of p
+    # _search does not re-check its seed: with order[:d] fixed, a shortlisted
+    # q must be adjacent to every fixed neighbour of p
     n, bits = pattern_spec
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     pattern = from_edges(n, [p for p, bit in zip(pairs, bits) if bit])

@@ -47,6 +47,35 @@ def test_imports_at_module_top():
     assert nested == []
 
 
+# (importer, module, name) of every private name that one module of the
+# package imports from another; new coupling between layers is an edit here
+PRIVATE_IMPORTS = {
+    ("canon", "graphs", "_fast_graph"),
+    ("codec", "graphs", "_fast_graph"),
+    ("construct", "formulas", "_middle_term"),
+    ("decomp", "balloon", "_norm"),
+    ("decomp", "canon", "_decode"),
+    ("decomp", "canon", "_forest_key"),
+    ("decomp", "graphs", "_fast_graph"),
+    ("embed", "canon", "_twin_masks"),
+    ("generate", "graphs", "_fast_graph"),
+    ("oracle", "canon", "_decode"),
+    ("oracle", "generate", "_vertex_growth"),
+}
+
+
+def test_private_imports_are_listed():
+    found = {
+        (path.stem, (node.module or "").rpartition(".")[2], alias.name)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("oddballoon"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+    assert found == PRIVATE_IMPORTS
+
+
 def test_cli_imports_no_numpy():
     # the package needs only the standard library; importing numpy would
     # roughly double the start-up time of every CLI command

@@ -7,7 +7,7 @@ from itertools import combinations
 
 from .balloon import BalloonSpec, BipartiteTree, _norm, bipartition, build_balloon
 from .canon import _decode, _forest_key, canonical_key, tree_code
-from .embed import contains_subgraph
+from .embed import contains_subgraph, planted_host_contains
 from .generate import trees_up_to
 from .graphs import (
     VERTEX_CAP,
@@ -21,7 +21,6 @@ from .graphs import (
     induced,
     iter_bits,
     strip_isolated,
-    union_all,
 )
 from .matching import max_matching
 
@@ -32,9 +31,12 @@ Edge = tuple[int, int]
 class GraphFamily:
     """Isomorphism-deduplicated set of graphs in canonical labelling, with an
     optional derivation trace per member.  Members are stripped of isolated
-    vertices unless added with strip=False."""
+    vertices unless added with strip=False.
 
-    _members: dict[bytes, Graph] = field(default_factory=dict)
+    A member is filed under its canonical key and decoded from it on first
+    use, so `keys`, `iso_equal`, `len` and `in` never build a member."""
+
+    _members: dict[bytes, Graph | None] = field(default_factory=dict)  # None until decoded
     _traces: dict[bytes, str] = field(default_factory=dict)
 
     def add(self, g: Graph, trace: str | None = None, strip: bool = True) -> None:
@@ -45,13 +47,22 @@ class GraphFamily:
             self._insert(key, trace)
 
     def _insert(self, key: bytes, trace: str | None) -> None:
-        """File the class of this canonical key, in canonical form."""
-        self._members[key] = _decode(key)
+        """File the class of this canonical key; its canonical form is
+        decoded on first use."""
+        self._members[key] = None
         if trace is not None:
             self._traces[key] = trace
 
+    def _decoded(self) -> list[tuple[bytes, Graph]]:
+        """(key, canonical form) of every member, decoding those not yet built."""
+        members = self._members
+        for key, g in members.items():
+            if g is None:
+                members[key] = _decode(key)
+        return list(members.items())
+
     def members(self) -> list[Graph]:
-        return [g for *_, g in sorted((g.edge_count(), g.n, k, g) for k, g in self._members.items())]
+        return [g for *_, g in sorted((g.edge_count(), g.n, k, g) for k, g in self._decoded())]
 
     def _lookup_key(self, g: Graph) -> bytes:
         """g's own key when a member was filed whole under it, else the key
@@ -77,12 +88,18 @@ class GraphFamily:
     def iso_equal(self, other: "GraphFamily") -> bool:
         return self.keys() == other.keys()
 
+    def __eq__(self, other: object) -> bool:
+        # whether a member is decoded yet must not tell two families apart
+        if not isinstance(other, GraphFamily):
+            return NotImplemented
+        return self._members.keys() == other._members.keys() and self._traces == other._traces
+
     def prune_non_minimal(self) -> "GraphFamily":
         """Drop members containing another member as a subgraph.  A member
         with the same vertex and edge counts is contained only if it is
         isomorphic, so only smaller members are tried."""
         out = GraphFamily()
-        sized = sorted((g.edge_count(), g.n, key, g) for key, g in self._members.items())
+        sized = sorted((g.edge_count(), g.n, key, g) for key, g in self._decoded())
         for e, n, key, g in sized:
             if not any(
                 he <= e and hn <= n and (he, hn) != (e, n) and contains_subgraph(g, h) for he, hn, _, h in sized
@@ -276,18 +293,6 @@ def _outcome_table(
     return table
 
 
-def _embedding_host(side: int, m: Graph) -> Graph:
-    """Balanced complete bipartite host with m planted in one side: X is
-    vertices 0..side-1, m on the first m.n of them, and Y the rest."""
-    if m.n > side:
-        raise ParameterError(f"a planted graph on {m.n} vertices does not fit a side of {side}")
-    if 2 * side > VERTEX_CAP:
-        raise CapacityError(f"host on {2 * side} vertices exceeds the cap {VERTEX_CAP}")
-    x_mask = (1 << side) - 1
-    y_mask = x_mask << side
-    return _fast_graph(2 * side, tuple([r | y_mask for r in m.rows] + [y_mask] * (side - m.n) + [x_mask] * side))
-
-
 def default_oracle_side(tree: BipartiteTree, spec: BalloonSpec) -> int:
     """Host side s0 = 2e(T) + max(1, A), where A is the sum over tree edges
     e of (L_e - 1)/2, past which a larger side changes no answer of the
@@ -354,7 +359,11 @@ def decomposition_oracle(tree: BipartiteTree, spec: BalloonSpec) -> GraphFamily:
 
     The members are therefore exactly these forests, with no isolated
     vertex, whose host contains T_o.  Two of them contain each other only
-    if they are isomorphic, so no containment check is needed.
+    if they are isomorphic, so no containment check is needed.  Each host
+    is queried through `embed.planted_host_contains`, which reads the
+    host's edge count, degree masks and twin classes off the planted
+    forest instead of scanning the host, and a member is filed by the key
+    `_forests` gives it, so none is decoded unless it is read.
 
     Two caps stand in for a time budget, and both refuse up front.  Trees
     with more than 8 edges are refused: the cap mirrors
@@ -375,7 +384,7 @@ def decomposition_oracle(tree: BipartiteTree, spec: BalloonSpec) -> GraphFamily:
     side = default_oracle_side(tree, spec)
     fam = GraphFamily()
     for key, cand in _forests(len(tree.edges), tree.graph().max_degree()).items():
-        if contains_subgraph(_embedding_host(side, cand), t_o):
+        if planted_host_contains(side, cand, t_o):
             fam._insert(key, "oracle")
     return fam
 
@@ -383,14 +392,17 @@ def decomposition_oracle(tree: BipartiteTree, spec: BalloonSpec) -> GraphFamily:
 def _forests(edges: int, max_degree: int) -> dict[bytes, Graph]:
     """Every forest with this many edges, no isolated vertex and maximum
     degree at most max_degree, one per multiset of trees from `trees_up_to`
-    whose edge counts sum to edges: canonical key -> the union of the trees.
+    whose edge counts sum to edges: canonical key -> the disjoint union of
+    the trees.  Each pool tree is coded once; a forest is the concatenation
+    of its trees' rows, each shifted past the trees before it, keyed by
+    `_forest_key` of their codes, so no forest is re-scanned or re-coded.
 
-    The union lists its largest trees first.  `contains_subgraph` tries
+    The union lists its largest trees first.  The oracle's search tries
     host vertices in label order, so the planted vertices that can carry
     the tree's high-degree vertices are tried first; smallest first makes
     the 29-vertex balloon of a 6-vertex path about ten times slower."""
     pool = [
-        (t, tree_code(t.rows, t.vertices_mask()))
+        (t.n - 1, t.rows, tree_code(t.rows, t.vertices_mask()))
         for level in trees_up_to(edges + 1)[2:]
         for t in level
         if t.max_degree() <= max_degree
@@ -398,15 +410,17 @@ def _forests(edges: int, max_degree: int) -> dict[bytes, Graph]:
     pool.reverse()  # most edges first
     out: dict[bytes, Graph] = {}
 
-    def extend(start: int, left: int, parts: list[tuple[Graph, bytes]]) -> None:
+    def extend(start: int, left: int, rows: tuple[int, ...], codes: tuple[bytes, ...]) -> None:
         if not left:
-            out[_forest_key(code for _, code in parts)] = union_all(t for t, _ in parts)
+            out[_forest_key(codes)] = _fast_graph(len(rows), rows)
             return
         for i in range(start, len(pool)):
-            if pool[i][0].edge_count() <= left:
-                extend(i, left - pool[i][0].edge_count(), parts + [pool[i]])
+            e, t_rows, code = pool[i]
+            if e <= left:
+                shift = len(rows)
+                extend(i, left - e, rows + tuple(r << shift for r in t_rows), codes + (code,))
 
-    extend(0, edges, [])
+    extend(0, edges, (), ())
     return out
 
 

@@ -39,6 +39,13 @@ so queries that succeed fast pay almost nothing for it.  The same orbits
 give `creates_copy_with_vertex` one seed vertex, and anchored
 `contains_subgraph` one seed edge end, per Aut(P) orbit.
 
+A search reads three facts of its host besides the rows: the edge count,
+the degree masks and the twin masks.  Hosts in general are scanned for
+them, and the scans are cached per host.  `planted_host_contains`, the
+decomposition oracle's entry, reads them off the planted graph instead,
+as its hosts are K_{s,s} with a small graph planted in one side, each
+queried once.
+
 Label-order symmetry breaking (Grochow & Kellis: require f(p) < f(q) for
 p, q in one orbit) is not used.  It prunes maps that are not the least of
 their orbit, while twin skipping keeps only the least twin; the two
@@ -51,7 +58,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .canon import _twin_masks
-from .graphs import Graph, ParameterError, iter_bits
+from .graphs import VERTEX_CAP, CapacityError, Graph, ParameterError, _fast_graph, iter_bits
 
 
 @lru_cache(maxsize=1024)
@@ -68,13 +75,56 @@ def _host_twins(host: Graph) -> tuple[int, ...]:
 @lru_cache(maxsize=1024)
 def _host_degree_masks(host: Graph) -> tuple[int, ...]:
     """masks[d] = the host vertices of degree >= d, for d = 0..max degree."""
-    degs = _host_degrees(host)
+    return _degree_masks(_host_degrees(host))
+
+
+def _degree_masks(degs: Sequence[int]) -> tuple[int, ...]:
+    """masks[d] = the vertices v with degs[v] >= d, for d = 0..max(degs)."""
     masks = [0] * (max(degs, default=0) + 1)
     for v, dv in enumerate(degs):
         masks[dv] |= 1 << v
     for d in range(len(masks) - 2, -1, -1):
         masks[d] |= masks[d + 1]
     return tuple(masks)
+
+
+def _planted_host(side: int, planted: Graph) -> Graph:
+    """Balanced complete bipartite host with `planted` in one side: X is
+    vertices 0..side-1, `planted` on the first planted.n of them, and Y the
+    rest."""
+    if planted.n > side:
+        raise ParameterError(f"a planted graph on {planted.n} vertices does not fit a side of {side}")
+    if 2 * side > VERTEX_CAP:
+        raise CapacityError(f"host on {2 * side} vertices exceeds the cap {VERTEX_CAP}")
+    x_mask = (1 << side) - 1
+    y_mask = x_mask << side
+    return _fast_graph(
+        2 * side, tuple([r | y_mask for r in planted.rows] + [y_mask] * (side - planted.n) + [x_mask] * side)
+    )
+
+
+def _planted_edge_count(side: int, planted: Graph) -> int:
+    """e(`_planted_host(side, planted)`), unscanned; see `planted_host_contains`."""
+    return side * side + planted.edge_count()
+
+
+def _planted_degree_masks(side: int, planted: Graph) -> tuple[int, ...]:
+    """`_host_degree_masks` of `_planted_host(side, planted)`, unscanned; see `planted_host_contains`."""
+    return ((1 << 2 * side) - 1,) * (side + 1) + _degree_masks(planted.degrees())[1:]
+
+
+def _planted_twins(side: int, planted: Graph) -> tuple[int, ...]:
+    """`_host_twins` of `_planted_host(side, planted)`, unscanned; see `planted_host_contains`."""
+    if side == 1:
+        return (0b11, 0b11)  # the host is K_2
+    twins = _twin_masks(planted.rows)
+    x_mask = (1 << side) - 1
+    spare = x_mask & ~sum(1 << v for v, row in enumerate(planted.rows) if row)
+    return (
+        tuple(twins[v] if row else spare for v, row in enumerate(planted.rows))
+        + (spare,) * (side - planted.n)
+        + (x_mask << side,) * side
+    )
 
 
 def _pattern_order(pattern: Graph, core: list[int], seed: Sequence[int]) -> list[int]:
@@ -248,11 +298,19 @@ def _seed_reps(pattern: Graph) -> tuple[int, ...]:
 
 
 def _search(
-    host: Graph, plan: _Plan, img: list[int], used: int, start: int | None = None, refute: bool = True
+    host: Graph,
+    plan: _Plan,
+    img: list[int],
+    used: int,
+    start: int | None = None,
+    refute: bool = True,
+    derived: tuple[tuple[int, ...], tuple[int, ...]] | None = None,
 ) -> bool:
     """Extend the seeded images img[order[:start]] (their host vertices are
     `used`; start defaults to plan.start) to an embedding; True iff one
-    exists.
+    exists.  `derived` gives the host's degree masks and twin masks when
+    they are known without scanning the host; by default they are scanned,
+    the twin masks on the first failure, and cached per host.
 
     The caller guarantees that the seeded images already map each pattern
     edge inside order[:start] to a host edge; they are not re-checked.
@@ -267,11 +325,10 @@ def _search(
     last = len(order) - 1
     if start > last:
         return True
-    masks = _host_degree_masks(host)
+    masks, twins = derived or (_host_degree_masks(host), ())
     degmask = [0] * start + [masks[d] if d < len(masks) else 0 for d in plan.degs[start:]]
     excl = [0] * plan.pattern.n
     orbits = plan.orbits
-    twins: tuple[int, ...] = ()  # fetched on the first failure
 
     def rec(pos: int, used: int) -> bool:
         nonlocal twins
@@ -347,6 +404,35 @@ def contains_subgraph(
             if _search(host, _plan(pattern, (p, q)), img, (1 << u) | (1 << v)):
                 return True
     return False
+
+
+def planted_host_contains(side: int, planted: Graph, pattern: Graph) -> bool:
+    """`contains_subgraph(_planted_host(side, planted), pattern)`: whether
+    K_{side,side} with `planted` in its side X contains pattern.  The same
+    search runs on the same host rows, but the host's edge count, degree
+    masks and twin masks are read off `planted` instead of being scanned
+    from its 2 side rows:
+
+    - edges: side^2 between X and Y, plus e(planted);
+    - degrees: a planted vertex has side + deg_planted(v), every other
+      vertex side, so the mask of degree >= d is every vertex for
+      d <= side and the planted vertices of degree >= d - side past it;
+    - twins: every X vertex is adjacent to all of Y, so two planted
+      vertices are twins in the host iff they are twins in `planted`
+      (`canon._twin_masks`).  The X vertices with no planted edge (the
+      spare ones and any isolated planted vertex) have neighbourhood Y and
+      form one class, and Y, whose vertices all have neighbourhood X,
+      forms another.  No class crosses: a vertex with a planted edge has a
+      neighbour in X and a spare one has none, and an X and a Y vertex
+      have equal closed neighbourhoods only when side = 1, where the host
+      is K_2 and its two vertices are one class."""
+    host = _planted_host(side, planted)
+    if pattern.n > host.n or pattern.edge_count() > _planted_edge_count(side, planted):
+        return False
+    if not any(pattern.rows):
+        return True
+    derived = (_planted_degree_masks(side, planted), _planted_twins(side, planted))
+    return _search(host, _plan(pattern, ()), [0] * pattern.n, 0, derived=derived)
 
 
 def _embeds_at(host: Graph, pattern: Graph, hv: int) -> bool:

@@ -11,9 +11,9 @@ Two growth routines, each keying its candidates with `canon`:
   stays because the bench self-test pins it),
   `oracle._connected_bounded_classes` and `oracle.star_matching_max`.
 
-`trees_up_to` grows free trees by pendant vertices alone and dedupes them
-by `tree_code`; audits, the forests of `decomp.decomposition_oracle`,
-tests and bench cases read it.
+`trees_up_to` grows free trees by pendant vertices alone, one pendant per
+twin class of leaves, and dedupes them by `tree_code`; audits, the forests
+of `decomp.decomposition_oracle`, tests and bench cases read it.
 """
 from __future__ import annotations
 
@@ -215,7 +215,9 @@ def trees_up_to(max_n: int) -> tuple[tuple[Graph, ...], ...]:
 
     Each level grows the one before by a pendant vertex at every vertex of
     every tree, in that order, and keeps the first tree of each `tree_code`:
-    every tree on n >= 2 vertices loses a leaf to a tree on n - 1."""
+    every tree on n >= 2 vertices loses a leaf to a tree on n - 1.  Leaves
+    on one parent are twins, so a pendant at a leaf whose parent already
+    had one at an earlier leaf gives a tree kept before, and is not built."""
     if max_n > CANON_VERTEX_CAP:
         raise CapacityError(f"trees_up_to supports n <= {CANON_VERTEX_CAP}")
     levels: list[list[Graph]] = [[], [empty_graph(1)]]
@@ -224,7 +226,12 @@ def trees_up_to(max_n: int) -> tuple[tuple[Graph, ...], ...]:
         seen: set[bytes] = set()
         level = []
         for t in levels[-1]:
-            for u in range(t.n):
+            grown = 0  # parents with a pendant at one of their leaves
+            for u, row in enumerate(t.rows):
+                if row and not row & (row - 1):  # u is a leaf; row is its parent's bit
+                    if grown & row:
+                        continue
+                    grown |= row
                 cand = add_vertex(t, 1 << u)
                 code = tree_code(cand.rows, full)
                 if code not in seen:

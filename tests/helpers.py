@@ -14,23 +14,23 @@ import re
 from itertools import combinations, permutations
 
 from oddballoon.balloon import bipartition, build_balloon
-from oddballoon.canon import canonical_form, canonical_key
+from oddballoon.canon import _forest_key, canonical_form, canonical_key, tree_code
 from oddballoon.decomp import (
     GraphFamily,
-    _embedding_host,
     _independent_subsets,
     _is_covering,
     decomposition_family,
     peel_edges,
     split_vertices,
 )
-from oddballoon.embed import contains_subgraph
-from oddballoon.generate import edge_growth_classes, graph_levels, small_edge_classes
+from oddballoon.embed import _planted_host, contains_subgraph
+from oddballoon.generate import edge_growth_classes, graph_levels, small_edge_classes, trees_up_to
 from oddballoon.graphs import (
     CapacityError,
     Graph,
     ParameterError,
     add_edges,
+    add_vertex,
     bit_indices,
     complete_graph,
     connected_components,
@@ -40,6 +40,7 @@ from oddballoon.graphs import (
     iter_bits,
     relabel,
     strip_isolated,
+    union_all,
 )
 from oddballoon.matching import max_matching
 from oddballoon.oracle import EdgeColoring
@@ -240,7 +241,7 @@ def reference_decomposition_oracle(tree, spec, side=None):
         side = t_o.n + 2 * e_t + 2
     fam = GraphFamily()
     for cand in small_edge_classes(e_t + 1, 2 * e_t + 2):
-        if contains_subgraph(_embedding_host(side, cand), t_o):
+        if contains_subgraph(_planted_host(side, cand), t_o):
             fam.add(cand, trace="oracle")
     return fam.prune_non_minimal()
 
@@ -372,6 +373,49 @@ def reference_trees_up_to(max_n: int) -> tuple[tuple[Graph, ...], ...]:
         for t in edge_growth_classes(lambda g: g.edge_count() == g.n - 1, max_n - 1):
             levels[t.n].append(t)
     return tuple(tuple(level) for level in levels[: max_n + 1])
+
+
+def reference_pendant_trees(max_n: int) -> tuple[tuple[Graph, ...], ...]:
+    """`trees_up_to` as first written: every tree of a level grows a
+    pendant at every vertex, twin leaves included, and the first tree of
+    each code is kept."""
+    levels: list[list[Graph]] = [[], [empty_graph(1)]]
+    for n in range(2, max_n + 1):
+        seen: set[bytes] = set()
+        level = []
+        for t in levels[-1]:
+            for u in range(t.n):
+                cand = add_vertex(t, 1 << u)
+                code = tree_code(cand.rows, (1 << n) - 1)
+                if code not in seen:
+                    seen.add(code)
+                    level.append(cand)
+        levels.append(level)
+    return tuple(tuple(level) for level in levels[: max_n + 1])
+
+
+def reference_forests(edges: int, max_degree: int) -> dict[bytes, Graph]:
+    """`decomp._forests` as first written: each multiset of pool trees, most
+    edges first, is joined by chained disjoint unions."""
+    pool = [
+        (t, tree_code(t.rows, t.vertices_mask()))
+        for level in trees_up_to(edges + 1)[2:]
+        for t in level
+        if t.max_degree() <= max_degree
+    ]
+    pool.reverse()
+    out: dict[bytes, Graph] = {}
+
+    def extend(start: int, left: int, parts: list[tuple[Graph, bytes]]) -> None:
+        if not left:
+            out[_forest_key(code for _, code in parts)] = union_all(t for t, _ in parts)
+            return
+        for i in range(start, len(pool)):
+            if pool[i][0].edge_count() <= left:
+                extend(i, left - pool[i][0].edge_count(), parts + [pool[i]])
+
+    extend(0, edges, [])
+    return out
 
 
 def acyclic(g: Graph) -> bool:

@@ -13,9 +13,10 @@ from helpers import (
     random_tree,
     reference_b_family,
     reference_decomposition_oracle,
+    reference_forests,
     replay_trace,
 )
-from oddballoon import decomp
+from oddballoon import decomp, embed
 from oddballoon.audits import _tree_from_graph
 from oddballoon.balloon import BalloonSpec, BipartiteTree, balloon_order, build_balloon, load_spec, parse_spec
 from oddballoon.canon import canonical_form, canonical_key, is_isomorphic
@@ -259,11 +260,11 @@ def test_embedding_host_matches_join():
         m = rng.choice(list(decomp._forests(e, rng.randint(1, max(e, 1))).values()))
         side = rng.randint(max(m.n, 1), 64)
         joined = join(disjoint_union(m, empty_graph(side - m.n)), empty_graph(side))
-        assert decomp._embedding_host(side, m) == joined, (m.rows, side)
+        assert embed._planted_host(side, m) == joined, (m.rows, side)
     with pytest.raises(ParameterError):
-        decomp._embedding_host(3, union_all([K2] * 2))
+        embed._planted_host(3, union_all([K2] * 2))
     with pytest.raises(CapacityError):
-        decomp._embedding_host(65, K2)
+        embed._planted_host(65, K2)
 
 
 def test_edgeless_tree_family_and_oracle():
@@ -413,7 +414,7 @@ def test_members_are_canonical_forms_under_their_keys():
             for lengths in ((3,) * e, (5,) * e, tuple(rng.choice((3, 5, 7)) for _ in range(e))):
                 cases.append((tree, BalloonSpec(tuple(zip(tree.edges, lengths)))))
     for tree, spec in cases:
-        for key, m in decomposition_family(tree, spec)._members.items():
+        for key, m in decomposition_family(tree, spec)._decoded():
             assert canonical_form(m) == m and canonical_key(m) == key, (tree.edges, spec.lengths)
 
 
@@ -489,14 +490,14 @@ def test_oracle_host_builds(monkeypatch):
     # high degree), where every e(T)-edge class built 618 and every class
     # with <= e(T)+1 edges 2,502
     built = 0
-    plant = decomp._embedding_host
+    query = decomp.planted_host_contains
 
-    def counting(side, m):
+    def counting(side, m, pattern):
         nonlocal built
         built += 1
-        return plant(side, m)
+        return query(side, m, pattern)
 
-    monkeypatch.setattr(decomp, "_embedding_host", counting)
+    monkeypatch.setattr(decomp, "planted_host_contains", counting)
     for tree, spec in _length_cases(5):
         decomposition_oracle(tree, spec)
     assert built == 386
@@ -513,6 +514,65 @@ def test_forests_match_edge_classes():
             assert set(forests) == {canonical_key(g) for g in classes if g.max_degree() <= max_degree}
             assert all(canonical_key(g) == key for key, g in forests.items())
     assert [len(decomp._forests(8, d)) for d in range(1, 9)] == [1, 22, 87, 129, 145, 151, 153, 154]
+
+
+def test_forests_match_reference():
+    # the forests built from shifted row tuples against chained disjoint
+    # unions: the same keys in the same order, and the same rows
+    for e in range(8):
+        for max_degree in range(e + 2):
+            got, want = decomp._forests(e, max_degree), reference_forests(e, max_degree)
+            assert [(k, g.n, g.rows) for k, g in got.items()] == [(k, g.n, g.rows) for k, g in want.items()], (
+                e,
+                max_degree,
+            )
+
+
+def _lazy_outputs():
+    """Fresh oracle and b_family outputs, nothing decoded yet; the oracle
+    only on trees with at most 4 edges, which answer in milliseconds."""
+    for tree, spec in list(_length_cases(5)) + [load_spec(p) for p in SPECS]:
+        if len(tree.edges) <= 4:
+            yield decomposition_oracle(tree, spec)
+        yield b_family(tree, spec)
+
+
+def _eager(fam: GraphFamily) -> GraphFamily:
+    """The same family with every member decoded up front."""
+    out = GraphFamily(dict(fam._members), dict(fam._traces))
+    out._decoded()
+    return out
+
+
+def test_lazy_family_matches_eager():
+    # members(), iteration, trace() and `in` on a family that decodes on
+    # first use equal those of the same family decoded up front; members
+    # are canonical forms filed under their canonical keys
+    probes = [K2, complete_graph(3), path_graph(3), union_all([K2, K2]), empty_graph(2)]
+    for fam in _lazy_outputs():
+        eager = _eager(fam)
+        assert all(g is None for g in fam._members.values())
+        assert [fam.trace(g) for g in eager] == [eager.trace(g) for g in eager]
+        assert [g in fam for g in probes + eager.members()] == [g in eager for g in probes + eager.members()]
+        assert fam.members() == eager.members() == list(fam) == list(eager)
+        assert fam == eager and fam.keys() == {canonical_key(g) for g in eager}
+        assert all(canonical_form(g) == g for g in fam)
+
+
+def test_keys_len_and_in_do_not_decode(monkeypatch):
+    decoded = []
+    decode = decomp._decode
+    monkeypatch.setattr(decomp, "_decode", lambda key: decoded.append(key) or decode(key))
+    for fam in _lazy_outputs():
+        other = _eager(fam)
+        decoded.clear()
+        assert fam.iso_equal(other) and len(fam) == len(other) and fam.keys() == other.keys()
+        assert [g in fam for g in (K2, complete_graph(3), empty_graph(1))] == [
+            canonical_key(g) in fam.keys() for g in (K2, complete_graph(3), empty_graph(1))
+        ]
+        assert decoded == []
+        fam.members()
+        assert sorted(decoded) == sorted(fam.keys())
 
 
 def _is_forest(g) -> bool:
@@ -532,7 +592,7 @@ def test_forest_and_degree_lemmas():
         max_degree = tree.graph().max_degree()
         for cand in small_edge_classes(e_t, 2 * e_t):
             if cand.edge_count() == e_t and (not _is_forest(cand) or cand.max_degree() > max_degree):
-                assert not contains_subgraph(decomp._embedding_host(side, cand), t_o), (tree.edges, spec.lengths)
+                assert not contains_subgraph(embed._planted_host(side, cand), t_o), (tree.edges, spec.lengths)
 
 
 @pytest.mark.parametrize(
@@ -559,7 +619,7 @@ def test_parity_lemma():
         t_o = build_balloon(tree, spec)
         side = default_oracle_side(tree, spec)
         for cand in small_edge_classes(e_t - 1, 2 * e_t - 2):
-            assert not contains_subgraph(decomp._embedding_host(side, cand), t_o), (tree.edges, spec.lengths)
+            assert not contains_subgraph(embed._planted_host(side, cand), t_o), (tree.edges, spec.lengths)
     for tree, spec in cases + list(_six_vertex_cases()):
         e_t = len(tree.edges)
         assert all(m.edge_count() == e_t for m in reference_decomposition_oracle(tree, spec)), (

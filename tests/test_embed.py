@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 
 from helpers import brute_contains, random_tree
 from oddballoon import embed
-from oddballoon.balloon import build_balloon, load_spec, parse_spec
+from oddballoon.balloon import BalloonSpec, BipartiteTree, build_balloon, load_spec, parse_spec
 from oddballoon.construct import extremal_candidate
-from oddballoon.decomp import _embedding_host, _forests, default_oracle_side
-from oddballoon.embed import _embeds_at, contains_subgraph, creates_copy_with_vertex
+from oddballoon.decomp import _forests, default_oracle_side
+from oddballoon.embed import _embeds_at, _planted_host, contains_subgraph, creates_copy_with_vertex
 from oddballoon.generate import random_graph, small_edge_classes
 from oddballoon.graphs import (
     Graph,
@@ -148,7 +148,7 @@ def _twin_rich_host(rng: random.Random, max_n: int) -> Graph:
     if kind == 0:
         side = rng.randint(3, max_n // 2)
         planted = rng.choice([g for g in small_edge_classes(3, 6) if g.n <= side])
-        return _embedding_host(side, planted)
+        return _planted_host(side, planted)
     if kind == 1:
         return turan_graph(rng.randint(3, max_n), rng.randint(2, 4))
     if kind == 2:
@@ -407,7 +407,7 @@ def test_stabiliser_orbit_seeds_are_edge_preserving(pattern_spec, rng):
 
 def test_host_degree_masks():
     rng = random.Random(7)
-    for host in [empty_graph(0), empty_graph(3), _embedding_host(4, path_graph(3))] + [
+    for host in [empty_graph(0), empty_graph(3), _planted_host(4, path_graph(3))] + [
         random_graph(rng, rng.randint(1, 12), rng.uniform(0.1, 0.9)) for _ in range(30)
     ]:
         masks = embed._host_degree_masks(host)
@@ -417,7 +417,7 @@ def test_host_degree_masks():
 
 
 def test_twin_masks():
-    host = _embedding_host(4, path_graph(2))
+    host = _planted_host(4, path_graph(2))
     twins = embed._host_twins(host)
     assert twins[0] == 0b11  # the planted edge makes 0 and 1 closed twins
     assert twins[2] == 0b1100  # unplanted X-side vertices are open twins
@@ -427,11 +427,56 @@ def test_twin_masks():
     assert embed._host_twins(path_graph(4)) == (1, 2, 4, 8)
 
 
+def test_planted_host_data_matches_scan():
+    # the edge count, degree masks and twin masks read off the planted
+    # forest equal those scanned from the built host, for every forest the
+    # oracle plants with e <= 6 and sides from M.n (no spare X vertex) to
+    # 3 past the largest {3,5} oracle side; e = 0 is the edgeless tree's
+    # empty forest, whose sides 0 and 1 give the empty host and K_2
+    cases = [
+        (m, range(m.n, 2 * e + max(1, 2 * e) + 4))
+        for e in range(7)
+        for max_degree in range(max(e, 1) + 1)
+        for m in _forests(e, max_degree).values()
+    ]
+    # graphs with cycles, and isolated vertices, which join the spare class
+    cases += [
+        (g, range(g.n, g.n + 3))
+        for h in small_edge_classes(3, 6)
+        for g in (h, disjoint_union(h, empty_graph(1)), disjoint_union(empty_graph(2), h))
+    ]
+    cases += [(empty_graph(k), range(k, k + 3)) for k in range(3)]
+    for m, sides in cases:
+        for side in sides:
+            host = _planted_host(side, m)
+            assert embed._planted_edge_count(side, m) == host.edge_count(), (m.rows, side)
+            assert embed._planted_degree_masks(side, m) == embed._host_degree_masks(host), (m.rows, side)
+            assert embed._planted_twins(side, m) == embed._host_twins(host), (m.rows, side)
+    tree, spec = BipartiteTree(("a",), ()), BalloonSpec(())
+    assert default_oracle_side(tree, spec) == 1 and _forests(0, 0) == {b"T\x00\x00": empty_graph(0)}
+
+
+def test_planted_host_contains_matches_built_host():
+    # the derived host data change no answer: the same queries against the
+    # built host, on the oracle's forests for some small specs
+    for text in (
+        "tree: a-b\ncycles: a-b:5",
+        "tree: c-a c-b\ncycles: c-a:3 c-b:5",
+        "tree: 1-2 2-3 3-4\ncycles: 1-2:5 2-3:3 3-4:5",
+    ):
+        tree, spec = parse_spec(text)
+        t_o = build_balloon(tree, spec)
+        s0 = default_oracle_side(tree, spec)
+        for m in _forests(len(tree.edges), tree.graph().max_degree()).values():
+            for side in (m.n, s0):
+                assert embed.planted_host_contains(side, m, t_o) == contains_subgraph(_planted_host(side, m), t_o)
+
+
 def test_star_of_c5s_negative_oracle_budget():
     tree, spec = parse_spec("tree: c-a c-b c-d c-e\ncycles: c-a:5 c-b:5 c-d:5 c-e:5")
     t_o = build_balloon(tree, spec)
     side = default_oracle_side(tree, spec)
-    hosts = [_embedding_host(side, cand) for cand in small_edge_classes(5, 10)]
+    hosts = [_planted_host(side, cand) for cand in small_edge_classes(5, 10)]
     negative = 0.0
     count = 0
     for host in hosts:
@@ -452,7 +497,7 @@ def test_path_of_c7s_positive_oracle_budget():
     tree, spec = parse_spec("tree: 0-1 1-2 2-3 3-4 4-5\ncycles: 0-1:7 1-2:7 2-3:7 3-4:7 4-5:7")
     t_o = build_balloon(tree, spec)
     side = default_oracle_side(tree, spec)
-    hosts = [_embedding_host(side, cand) for cand in _forests(5, 2).values()]
+    hosts = [_planted_host(side, cand) for cand in _forests(5, 2).values()]
     assert len(hosts) == 7
     t0 = time.perf_counter()
     assert all(contains_subgraph(host, t_o) for host in hosts)

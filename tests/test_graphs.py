@@ -132,6 +132,19 @@ def test_trees_up_to_counts_and_cap():
     assert time.perf_counter() - start < 1.0  # refused before any growth
 
 
+def test_trees_up_to_matches_pendant_growth_reference():
+    from helpers import reference_pendant_trees
+
+    from oddballoon.generate import trees_up_to
+
+    # skipping the pendant at a leaf whose parent already grew one at a twin
+    # leaf drops only trees that were dropped as repeats: every level equals
+    # growth at every vertex, representatives and order included
+    assert [[t.rows for t in level] for level in trees_up_to(12)] == [
+        [t.rows for t in level] for level in reference_pendant_trees(12)
+    ]
+
+
 def test_trees_up_to_matches_edge_growth_reference():
     from helpers import reference_trees_up_to
 

@@ -58,6 +58,7 @@ PRIVATE_IMPORTS = {
     ("decomp", "canon", "_forest_key"),
     ("decomp", "graphs", "_fast_graph"),
     ("embed", "canon", "_twin_masks"),
+    ("embed", "graphs", "_fast_graph"),
     ("generate", "graphs", "_fast_graph"),
     ("oracle", "canon", "_decode"),
     ("oracle", "generate", "_vertex_growth"),
